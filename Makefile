@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build vet fmt-check staticcheck test race check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -14,6 +14,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 # Extra static analysis when the tool is available. Gated on `command -v`
 # so `make check` never downloads anything; CI installs staticcheck
@@ -56,7 +62,7 @@ stress-cluster:
 stress-stream:
 	$(GO) test -race -run TestStressStreamSubscribers -count=1 -v -timeout=10m ./internal/api/
 
-check: build vet staticcheck test race scenario-smoke
+check: build vet fmt-check staticcheck test race scenario-smoke
 
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the
@@ -66,8 +72,8 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, CRC variants, and the Figure-4 striping
-# study) funneled through cmd/benchjson into a benchstat-compatible JSON
+# (incremental vs batch evaluation, the sampler and TSV-SWAP layers, CRC
+# variants, and the Figure-4 striping study) funneled through cmd/benchjson into a benchstat-compatible JSON
 # report. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
 # it; keep two reports around to benchstat before/after a change.
 bench.out:
@@ -76,6 +82,8 @@ bench.out:
 	$(GO) test -run xxx -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkSamplerAppendLifetime' -benchmem ./internal/fault/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkSwapperApplyReset' -benchmem ./internal/tsv/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkMonteCarloTrialThroughput|BenchmarkFig4StripingReliability' \
 		-benchmem . >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkBroadcastFanout' -benchmem ./internal/stream/ >> bench.out

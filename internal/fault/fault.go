@@ -333,18 +333,71 @@ func (r Rates) classRate(c Class, p Persistence) float64 {
 	}
 }
 
-// Sampler draws fault lifetimes for a whole memory system.
+// Sampler draws fault lifetimes for a whole memory system. It is
+// immutable after construction, so one sampler may serve many goroutines.
 type Sampler struct {
 	cfg   stack.Config
 	rates Rates
 	// dies counts fault-bearing dies per stack: data dies plus ECC dies
 	// (the metadata die fails like any other die).
 	diesPerStack int
+	// classes[:nClasses] lists the (class, persistence) pairs with a
+	// positive rate, in draw order. tsv is the TSV event stream, rate zero
+	// when off; each event picks its own data or address class. A fixed
+	// array keeps the sampler one allocation.
+	classes  [2 * (Bank - Bit + 1)]classDraw
+	nClasses int
+	tsv      classDraw
+}
+
+// classDraw is one Poisson event stream of a Sampler: its FIT rate, the
+// dies it scales with, and its lifetime-window mean and Knuth threshold
+// e^{-λ}, precomputed with the same expression AppendWindow evaluates so
+// lifetime draws are bit-identical to computing them per call.
+type classDraw struct {
+	class       Class
+	persistence Persistence
+	rate        float64
+	nDies       float64
+	lifeLambda  float64
+	lifeExp     float64
+}
+
+func newClassDraw(c Class, p Persistence, rate, nDies float64) classDraw {
+	d := classDraw{class: c, persistence: p, rate: rate, nDies: nDies}
+	d.lifeLambda = d.lambda(LifetimeHours)
+	d.lifeExp = math.Exp(-d.lifeLambda)
+	return d
+}
+
+// lambda is the expected event count over span hours.
+func (d *classDraw) lambda(span float64) float64 { return d.rate * 1e-9 * span * d.nDies }
+
+// count draws the number of events over span hours.
+func (d *classDraw) count(rng *rand.Rand, span float64) int {
+	if span == LifetimeHours {
+		if d.lifeLambda <= 0 {
+			return 0
+		}
+		return poissonBelow(rng, d.lifeExp)
+	}
+	return poisson(rng, d.lambda(span))
 }
 
 // NewSampler builds a sampler for the given geometry and rates.
 func NewSampler(cfg stack.Config, rates Rates) *Sampler {
-	return &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies}
+	s := &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies}
+	nDies := float64(cfg.Stacks * s.diesPerStack)
+	for c := Bit; c <= Bank; c++ {
+		for _, p := range [...]Persistence{Transient, Permanent} {
+			if rate := rates.classRate(c, p); rate > 0 {
+				s.classes[s.nClasses] = newClassDraw(c, p, rate, nDies)
+				s.nClasses++
+			}
+		}
+	}
+	s.tsv = newClassDraw(DataTSV, Permanent, rates.TSVPerDie, float64(cfg.Stacks*cfg.DataDies))
+	return s
 }
 
 // Rates returns the sampler's rates.
@@ -359,7 +412,12 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
+	return poissonBelow(rng, math.Exp(-lambda))
+}
+
+// poissonBelow is Knuth's method given its threshold l = e^{-lambda}: the
+// number of uniform draws whose running product stays above l.
+func poissonBelow(rng *rand.Rand, l float64) int {
 	k := 0
 	p := 1.0
 	for {
@@ -397,29 +455,20 @@ func (s *Sampler) AppendLifetime(rng *rand.Rand, hours float64, dst []Fault) []F
 func (s *Sampler) AppendWindow(rng *rand.Rand, start, span float64, dst []Fault) []Fault {
 	base := len(dst)
 	faults := dst
-	nDies := float64(s.cfg.Stacks * s.diesPerStack)
-	add := func(c Class, p Persistence, rate float64) {
-		if rate <= 0 {
-			return
-		}
-		lambda := rate * 1e-9 * span * nDies
-		n := poisson(rng, lambda)
-		for i := 0; i < n; i++ {
-			f := s.place(rng, c, p)
+	for i := range s.nClasses {
+		d := &s.classes[i]
+		n := d.count(rng, span)
+		for j := 0; j < n; j++ {
+			f := s.place(rng, d.class, d.persistence)
 			f.Hours = start + rng.Float64()*span
 			faults = append(faults, f)
 		}
 	}
-	for c := Bit; c <= Bank; c++ {
-		add(c, Transient, s.rates.classRate(c, Transient))
-		add(c, Permanent, s.rates.classRate(c, Permanent))
-	}
 	// TSV events: permanent, split data/address by TSV population.
-	if s.rates.TSVPerDie > 0 {
-		lambda := s.rates.TSVPerDie * 1e-9 * span * float64(s.cfg.Stacks*s.cfg.DataDies)
-		n := poisson(rng, lambda)
+	if s.tsv.rate > 0 {
+		n := s.tsv.count(rng, span)
+		total := s.cfg.DataTSVs + s.cfg.AddrTSVs
 		for i := 0; i < n; i++ {
-			total := s.cfg.DataTSVs + s.cfg.AddrTSVs
 			var f Fault
 			if rng.Intn(total) < s.cfg.DataTSVs {
 				f = s.place(rng, DataTSV, Permanent)

@@ -63,3 +63,39 @@ func FuzzNextMatchMinimal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFastPaths checks the constant-time answers of nextMatch and
+// countMatchesBelow against the generic binary search and digit DP over the
+// full 32-bit width. shape selects the mask: all-free, exact, the data-TSV
+// stride, an address-TSV half-space, or raw.
+func FuzzFastPaths(f *testing.F) {
+	for _, x := range []uint32{0, 1, 1 << 31, ^uint32(0)} {
+		for shape := uint8(0); shape < 5; shape++ {
+			f.Add(x, shape, uint32(0xdeadbeef), x)
+		}
+	}
+	f.Fuzz(func(t *testing.T, x uint32, shape uint8, raw, val uint32) {
+		var mask uint32
+		switch shape % 5 {
+		case 0:
+			mask = 0
+		case 1:
+			mask = ^uint32(0)
+		case 2:
+			mask = 255
+		case 3:
+			mask = 1 << (raw % 32)
+		default:
+			mask = raw
+		}
+		val &= mask
+		if got, want := countMatchesBelow(x, mask, val), countMatchesDP(x, mask, val); got != want {
+			t.Fatalf("countMatchesBelow(%#x,%#x,%#x) = %d, digit DP %d", x, mask, val, got, want)
+		}
+		got, gotOK := nextMatch(x, mask, val)
+		want, wantOK := nextMatchSearch(x, mask, val)
+		if gotOK != wantOK || (gotOK && got != want) {
+			t.Fatalf("nextMatch(%#x,%#x,%#x) = %#x,%v, search %#x,%v", x, mask, val, got, gotOK, want, wantOK)
+		}
+	})
+}

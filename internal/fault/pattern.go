@@ -61,11 +61,25 @@ func spread(f, mask uint32) uint32 {
 }
 
 // nextMatch returns the smallest x >= lo with x&mask == val, and whether one
-// exists within 32-bit range.
+// exists within 32-bit range. The all-free and exact masks — AllPattern and
+// ExactPattern, most of the patterns the sampler builds — answer in O(1);
+// strided and half-space masks take the binary search.
 func nextMatch(lo, mask, val uint32) (uint32, bool) {
-	if val&mask != val {
-		val &= mask
+	val &= mask
+	switch mask {
+	case 0:
+		return lo, true
+	case ^uint32(0):
+		if val < lo {
+			return 0, false
+		}
+		return val, true
 	}
+	return nextMatchSearch(lo, mask, val)
+}
+
+// nextMatchSearch is nextMatch for any mask, val already masked.
+func nextMatchSearch(lo, mask, val uint32) (uint32, bool) {
 	freeBits := uint(bits.OnesCount32(^mask))
 	// Binary search the free-bit counter: y(f) = spread(f)|val is strictly
 	// increasing in f, so find the least f with y(f) >= lo.
@@ -122,9 +136,24 @@ func (p Pattern) First(n uint32) (uint32, bool) {
 	return x, true
 }
 
-// countMatchesBelow returns |{x < hi : x&mask == val}| by scanning bit
-// positions of hi from high to low (a digit DP over the binary expansion).
+// countMatchesBelow returns |{x < hi : x&mask == val}|. The all-free and
+// exact masks answer in O(1); other masks scan the bit positions of hi from
+// high to low (a digit DP over the binary expansion).
 func countMatchesBelow(hi, mask, val uint32) uint64 {
+	switch mask {
+	case 0:
+		return uint64(hi)
+	case ^uint32(0):
+		if val < hi {
+			return 1
+		}
+		return 0
+	}
+	return countMatchesDP(hi, mask, val)
+}
+
+// countMatchesDP is countMatchesBelow for any mask.
+func countMatchesDP(hi, mask, val uint32) uint64 {
 	var count uint64
 	for b := 31; b >= 0; b-- {
 		bit := uint32(1) << uint(b)

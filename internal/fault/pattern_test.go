@@ -233,3 +233,131 @@ func TestPatternFirstMatchesLinearScan(t *testing.T) {
 		}
 	}
 }
+
+// edgeMasks are the mask shapes the fault model builds — all-free, exact,
+// the data-TSV stride, an address-TSV half-space, an aligned word — plus a
+// random one. The first two take nextMatch's and countMatchesBelow's
+// constant-time paths; the rest take the generic search and digit DP.
+func edgeMask(rng *rand.Rand, width uint) uint32 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return ^uint32(0)
+	case 2:
+		return 255
+	case 3:
+		return 1 << uint(rng.Intn(int(width)))
+	case 4:
+		return ^uint32(63)
+	default:
+		return rng.Uint32()
+	}
+}
+
+// edgeBound draws a bound from [base, base+span): either end, the second
+// value, or a random one.
+func edgeBound(rng *rand.Rand, base, span uint64) uint32 {
+	switch rng.Intn(4) {
+	case 0:
+		return uint32(base)
+	case 1:
+		return uint32(base + 1)
+	case 2:
+		return uint32(base + span - 1)
+	default:
+		return uint32(base + uint64(rng.Int63n(int64(span))))
+	}
+}
+
+func TestFastPathsMatchGeneric(t *testing.T) {
+	// On the full 32-bit width, the constant-time answers of nextMatch and
+	// countMatchesBelow must equal the binary search and digit DP.
+	rng := rand.New(rand.NewSource(4))
+	edges := []uint32{0, 1, 2, 1 << 31, ^uint32(0) - 1, ^uint32(0)}
+	pick := func() uint32 {
+		if rng.Intn(2) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return rng.Uint32()
+	}
+	for trial := 0; trial < 20000; trial++ {
+		mask := edgeMask(rng, 32)
+		val := pick() & mask
+		x := pick()
+		if got, want := countMatchesBelow(x, mask, val), countMatchesDP(x, mask, val); got != want {
+			t.Fatalf("countMatchesBelow(%#x,%#x,%#x) = %d, digit DP %d", x, mask, val, got, want)
+		}
+		got, gotOK := nextMatch(x, mask, val)
+		want, wantOK := nextMatchSearch(x, mask, val)
+		if gotOK != wantOK || (gotOK && got != want) {
+			t.Fatalf("nextMatch(%#x,%#x,%#x) = %#x,%v, search %#x,%v", x, mask, val, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// windowPattern draws a pattern whose members all lie in [base, base+span)
+// (Hi == 0 standing for 2^32 when the window reaches the top), with Lo and
+// Hi at the window's edges as often as inside it.
+func windowPattern(rng *rand.Rand, base, span uint64) Pattern {
+	mask := edgeMask(rng, 12)
+	p := Pattern{Mask: mask, Val: (uint32(base) + uint32(rng.Intn(int(span)))) & mask}
+	p.Lo = edgeBound(rng, base, span)
+	if base+span == 1<<32 && rng.Intn(3) == 0 {
+		p.Hi = 0
+	} else {
+		p.Hi = edgeBound(rng, base, span)
+		if base == 0 && p.Hi == 0 {
+			p.Hi = uint32(span)
+		}
+	}
+	return p
+}
+
+func TestPatternEdgesMatchBruteForce(t *testing.T) {
+	// CountBelow, First and Intersects against enumeration on two narrowed
+	// domains: the bottom of the index space, where Lo and Hi sit at 0 and
+	// 1, and the top, where they sit at 2^32-1 and Hi == 0 means unbounded.
+	const span = 4096
+	rng := rand.New(rand.NewSource(5))
+	for _, base := range []uint64{0, 1<<32 - span} {
+		end := base + span
+		member := func(p Pattern, x uint64) bool { return x >= base && x < end && p.Contains(uint32(x)) }
+		for trial := 0; trial < 3000; trial++ {
+			p := windowPattern(rng, base, span)
+			q := windowPattern(rng, base, span)
+			n := uint64(edgeBound(rng, base, span))
+			if base == 0 && rng.Intn(4) == 0 {
+				n = span
+			}
+			count, first, firstOK, meet := 0, uint32(0), false, false
+			for x := base; x < end; x++ {
+				inP := member(p, x)
+				if inP && x < n {
+					if !firstOK {
+						first, firstOK = uint32(x), true
+					}
+					count++
+				}
+				if inP && member(q, x) {
+					meet = true
+				}
+			}
+			if base > 0 {
+				// Members below the window do not exist; CountBelow counts
+				// from zero, so compare the window's share.
+				if got := p.CountBelow(uint32(n)) - p.CountBelow(uint32(base)); got != count {
+					t.Fatalf("CountBelow window(%+v, %#x) = %d, brute %d", p, n, got, count)
+				}
+			} else if got := p.CountBelow(uint32(n)); got != count {
+				t.Fatalf("CountBelow(%+v, %d) = %d, brute %d", p, n, got, count)
+			}
+			if got, ok := p.First(uint32(n)); ok != firstOK || (ok && got != first) {
+				t.Fatalf("First(%+v, %#x) = %#x,%v, brute %#x,%v", p, n, got, ok, first, firstOK)
+			}
+			if got := p.Intersects(q); got != meet {
+				t.Fatalf("Intersects(%+v, %+v) = %v, brute %v", p, q, got, meet)
+			}
+		}
+	}
+}

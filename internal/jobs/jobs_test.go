@@ -188,7 +188,12 @@ func TestCrashResumeDifferential(t *testing.T) {
 	}
 
 	// Interrupted run: kill the orchestrator once a few chunks are
-	// checkpointed.
+	// checkpointed. The poll below must run alongside the campaign: with
+	// a single P the CPU-bound campaign can finish before the poller is
+	// scheduled again, so the test lends it a second one.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	dirB := t.TempDir()
 	oB, stB := newOrch(t, dirB, 1, 4)
 	jB, err := oB.Submit(spec)

@@ -99,13 +99,14 @@ func intersectPattern(p, q fault.Pattern) (fault.Pattern, bool) {
 	if out.Hi == 0 || (q.Hi != 0 && q.Hi < out.Hi) {
 		out.Hi = q.Hi
 	}
-	// Emptiness check within the 32-bit domain.
-	probe := fault.Pattern{Mask: out.Mask, Val: out.Val, Lo: out.Lo, Hi: out.Hi}
+	// Emptiness check within the 32-bit domain. Unbounded above, the
+	// largest member sets every free bit, so the set is empty exactly when
+	// that value lies below Lo.
 	if out.Hi != 0 {
-		if probe.CountBelow(out.Hi) == 0 {
+		if out.CountBelow(out.Hi) == 0 {
 			return fault.Pattern{}, false
 		}
-	} else if probe.CountBelow(^uint32(0)) == 0 && !probe.Contains(^uint32(0)) {
+	} else if out.Val|^out.Mask < out.Lo {
 		return fault.Pattern{}, false
 	}
 	return out, true

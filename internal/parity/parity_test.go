@@ -410,3 +410,48 @@ func TestFewerDimensionsNeverBetter(t *testing.T) {
 		}
 	}
 }
+
+func TestIntersectPatternEmptinessMatchesEnumeration(t *testing.T) {
+	// intersectPattern's emptiness verdict, and the members of the pattern
+	// it returns, against enumeration over two windows of the index space:
+	// the bottom, with bounded ranges, and the top, where Hi == 0 (no upper
+	// bound) takes the closed-form test on the largest member.
+	const span = 2048
+	rng := rand.New(rand.NewSource(11))
+	masks := []uint32{0, ^uint32(0), 255, 1 << 3, 1 << 10, ^uint32(63)}
+	for _, base := range []uint64{0, 1<<32 - span} {
+		end := base + span
+		draw := func() fault.Pattern {
+			mask := masks[rng.Intn(len(masks))]
+			if rng.Intn(4) == 0 {
+				mask = rng.Uint32()
+			}
+			p := fault.Pattern{Mask: mask, Val: uint32(base+uint64(rng.Intn(span))) & mask}
+			p.Lo = uint32(base + uint64(rng.Intn(span)))
+			if base == 0 {
+				p.Hi = uint32(1 + rng.Intn(span))
+			} else if rng.Intn(2) == 0 {
+				p.Hi = uint32(base + uint64(rng.Intn(span)))
+			}
+			if base > 0 && rng.Intn(4) == 0 {
+				p.Lo = ^uint32(0)
+			}
+			return p
+		}
+		for trial := 0; trial < 3000; trial++ {
+			p, q := draw(), draw()
+			got, ok := intersectPattern(p, q)
+			nonEmpty := false
+			for x := base; x < end; x++ {
+				both := p.Contains(uint32(x)) && q.Contains(uint32(x))
+				nonEmpty = nonEmpty || both
+				if ok && got.Contains(uint32(x)) != both {
+					t.Fatalf("intersectPattern(%+v, %+v) = %+v disagrees at %#x", p, q, got, x)
+				}
+			}
+			if ok != nonEmpty {
+				t.Fatalf("intersectPattern(%+v, %+v) non-empty = %v, enumeration %v", p, q, ok, nonEmpty)
+			}
+		}
+	}
+}

@@ -146,8 +146,9 @@ func (p rowhammerParams) validate(cfg stack.Config) error {
 }
 
 // rowhammerArrivals is one worker's arrival source. It is stateful only
-// for its episode counters (flushed via ArrivalStats); the fault stream
-// itself is a pure function of the rng sequence.
+// for its episode counters (flushed via ArrivalStats) and scratch
+// buffers; the fault stream itself is a pure function of the rng
+// sequence.
 type rowhammerArrivals struct {
 	cfg  stack.Config
 	p    rowhammerParams
@@ -159,6 +160,11 @@ type rowhammerArrivals struct {
 	permanents float64
 	// histogram of episodes per trial: 0, 1-3, 4-15, 16+.
 	epHist [4]float64
+
+	// runs and scratch are per-trial buffers of the arrival merge: the
+	// offset where each aggressor's episodes begin, and a fault copy.
+	runs    []int
+	scratch []fault.Fault
 }
 
 func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
@@ -175,7 +181,9 @@ func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []
 
 	trialEpisodes := 0
 	capped := false
+	r.runs = r.runs[:0]
 	for a := 0; a < r.p.aggressors && !capped; a++ {
+		r.runs = append(r.runs, len(dst)-start)
 		aggRow := (baseRow + uint32(a*r.p.stride)) % uint32(r.cfg.RowsPerBank)
 		// Rank-a aggressor is hammered ~1/(a+1) as often as the hottest,
 		// with lognormal workload jitter.
@@ -236,15 +244,41 @@ func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []
 	}
 
 	// The engine requires arrivals sorted by Hours; hammer episodes
-	// interleave arbitrarily with the baseline stream. Insertion sort: the
-	// appended region is near-sorted and small.
-	region := dst[start:]
-	for i := 1; i < len(region); i++ {
-		for j := i; j > 0 && region[j].Hours < region[j-1].Hours; j-- {
-			region[j], region[j-1] = region[j-1], region[j]
-		}
-	}
+	// interleave arbitrarily with the baseline stream. Each source emits
+	// in time order, so a stable merge of the sorted runs sorts the trial.
+	r.scratch = mergeRuns(dst[start:], r.runs, r.scratch)
 	return dst
+}
+
+// mergeRuns sorts region by Hours, stably, given that each of its runs —
+// region[:starts[0]], region[starts[0]:starts[1]], ..., region[starts[n-1]:]
+// — is already sorted. It folds each run into the sorted prefix before it
+// with a two-way merge whose ties go to the prefix, so the result equals a
+// stable sort's. It returns scratch, grown to hold the prefix, for reuse.
+func mergeRuns(region []fault.Fault, starts []int, scratch []fault.Fault) []fault.Fault {
+	for i, mid := range starts {
+		end := len(region)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		if mid == 0 || mid == end || region[mid-1].Hours <= region[mid].Hours {
+			continue
+		}
+		scratch = append(scratch[:0], region[:mid]...)
+		l, r, out := 0, mid, 0
+		for l < len(scratch) && r < end {
+			if region[r].Hours < scratch[l].Hours {
+				region[out] = region[r]
+				r++
+			} else {
+				region[out] = scratch[l]
+				l++
+			}
+			out++
+		}
+		copy(region[out:], scratch[l:])
+	}
+	return scratch
 }
 
 // FlushStats implements faultsim.ArrivalStats.

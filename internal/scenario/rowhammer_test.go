@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -160,5 +162,34 @@ func TestRowhammerBaselineComposes(t *testing.T) {
 	}
 	if len(classes) < 2 {
 		t.Fatalf("baseline composition produced only classes %v", classes)
+	}
+}
+
+func TestMergeRunsMatchesStableSort(t *testing.T) {
+	// mergeRuns on concatenated sorted runs, with empty runs and ties both
+	// within and across runs, must order faults exactly as a stable sort
+	// does. TSV tags each fault with its input position so reordered ties
+	// would show.
+	rng := rand.New(rand.NewSource(8))
+	var scratch []fault.Fault
+	for trial := 0; trial < 2000; trial++ {
+		var region []fault.Fault
+		var starts []int
+		for run := rng.Intn(7); run >= 0; run-- {
+			if len(region) > 0 || rng.Intn(2) == 0 {
+				starts = append(starts, len(region))
+			}
+			h := float64(rng.Intn(8))
+			for n := rng.Intn(6); n > 0; n-- {
+				region = append(region, fault.Fault{Hours: h, TSV: len(region)})
+				h += float64(rng.Intn(3))
+			}
+		}
+		want := slices.Clone(region)
+		slices.SortStableFunc(want, func(a, b fault.Fault) int { return cmp.Compare(a.Hours, b.Hours) })
+		scratch = mergeRuns(region, starts, scratch)
+		if !slices.Equal(region, want) {
+			t.Fatalf("runs %v: mergeRuns = %v, stable sort %v", starts, region, want)
+		}
 	}
 }

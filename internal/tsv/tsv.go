@@ -17,6 +17,7 @@ package tsv
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/stack"
@@ -31,18 +32,17 @@ type Channel struct {
 	cfg     stack.Config
 	standby []int // stand-by data TSV indices
 
-	faultyData map[int]bool // data TSV index -> faulty
-	faultyAddr map[int]bool // addr TSV index -> faulty
-
-	// trr maps a repaired TSV to the stand-by TSV now carrying it. Keys are
-	// data TSV indices for data repairs and AddrKey(k) for address repairs.
-	trr map[int]int
+	faultyData []bool // indexed by data TSV
+	faultyAddr []bool // indexed by address TSV
+	// trrData and trrAddr mark the TSVs the TSV Redirection Register has
+	// rerouted onto a stand-by TSV.
+	trrData, trrAddr []bool
+	// dataList and addrList hold the faulty indices in ascending order, so
+	// BIST, the queries and Reset touch only the faulty TSVs.
+	dataList, addrList []int
 
 	beatsFree int // remaining stand-by transfer beats
 }
-
-// AddrKey namespaces address TSV indices in the TRR key space.
-func AddrKey(k int) int { return 1<<20 | k }
 
 // NewChannel builds TSV-SWAP state for one channel with the paper's
 // default stand-by pool.
@@ -61,19 +61,25 @@ func NewChannelWithPool(cfg stack.Config, n int) *Channel {
 	return &Channel{
 		cfg:        cfg,
 		standby:    standby,
-		faultyData: make(map[int]bool),
-		faultyAddr: make(map[int]bool),
-		trr:        make(map[int]int),
+		faultyData: make([]bool, cfg.DataTSVs),
+		faultyAddr: make([]bool, cfg.AddrTSVs),
+		trrData:    make([]bool, cfg.DataTSVs),
+		trrAddr:    make([]bool, cfg.AddrTSVs),
 		beatsFree:  n * cfg.BurstLength,
 	}
 }
 
-// Reset restores the channel to its freshly-built state, retaining map
-// capacity so the Monte Carlo engine can reuse channels across trials.
+// Reset restores the channel to its freshly-built state, clearing only the
+// entries of faulty TSVs, so the Monte Carlo engine can reuse channels
+// across trials.
 func (c *Channel) Reset() {
-	clear(c.faultyData)
-	clear(c.faultyAddr)
-	clear(c.trr)
+	for _, t := range c.dataList {
+		c.faultyData[t], c.trrData[t] = false, false
+	}
+	for _, k := range c.addrList {
+		c.faultyAddr[k], c.trrAddr[k] = false, false
+	}
+	c.dataList, c.addrList = c.dataList[:0], c.addrList[:0]
 	c.beatsFree = len(c.standby) * c.cfg.BurstLength
 }
 
@@ -100,7 +106,7 @@ func (c *Channel) InjectDataFault(t int) error {
 	if t < 0 || t >= c.cfg.DataTSVs {
 		return fmt.Errorf("tsv: data TSV %d out of range [0,%d)", t, c.cfg.DataTSVs)
 	}
-	c.faultyData[t] = true
+	markFaulty(c.faultyData, &c.dataList, t)
 	return nil
 }
 
@@ -109,16 +115,23 @@ func (c *Channel) InjectAddrFault(k int) error {
 	if k < 0 || k >= c.cfg.AddrTSVs {
 		return fmt.Errorf("tsv: addr TSV %d out of range [0,%d)", k, c.cfg.AddrTSVs)
 	}
-	c.faultyAddr[k] = true
+	markFaulty(c.faultyAddr, &c.addrList, k)
 	return nil
 }
 
-// dataRepairCost and addrRepairCost are the beat costs of each repair type.
-const (
-	addrRepairCost = 1
-)
+// markFaulty sets faulty[i] and inserts i into the ascending list, once.
+func markFaulty(faulty []bool, list *[]int, i int) {
+	if faulty[i] {
+		return
+	}
+	faulty[i] = true
+	pos, _ := slices.BinarySearch(*list, i)
+	*list = slices.Insert(*list, pos, i)
+}
 
-func (c *Channel) dataRepairCost() int { return c.cfg.BurstLength }
+// addrRepairCost is the beat cost of redirecting an address TSV; a data
+// TSV costs a whole stand-by TSV, BurstLength beats.
+const addrRepairCost = 1
 
 // RunBIST scans for unrepaired faulty TSVs and repairs as many as the
 // stand-by budget allows, loading the TRR. It returns the number of repairs
@@ -126,34 +139,29 @@ func (c *Channel) dataRepairCost() int { return c.cfg.BurstLength }
 // bits already live in metadata) but still consume that stand-by's beats.
 func (c *Channel) RunBIST() int {
 	repaired := 0
-	// Address TSVs first: a single ATSV fault makes half the channel
-	// unreachable, so they are the most valuable repairs (paper Insight 1).
-	for k := 0; k < c.cfg.AddrTSVs; k++ {
-		if !c.faultyAddr[k] {
-			continue
-		}
-		if _, done := c.trr[AddrKey(k)]; done {
+	// Address TSVs first, in ascending index order: a single ATSV fault
+	// makes half the channel unreachable, so they are the most valuable
+	// repairs (paper Insight 1).
+	for _, k := range c.addrList {
+		if c.trrAddr[k] {
 			continue
 		}
 		if c.beatsFree < addrRepairCost {
 			return repaired
 		}
 		c.beatsFree -= addrRepairCost
-		c.trr[AddrKey(k)] = c.standby[0]
+		c.trrAddr[k] = true
 		repaired++
 	}
-	for t := 0; t < c.cfg.DataTSVs; t++ {
-		if !c.faultyData[t] {
+	for _, t := range c.dataList {
+		if c.trrData[t] {
 			continue
 		}
-		if _, done := c.trr[t]; done {
-			continue
-		}
-		if c.beatsFree < c.dataRepairCost() {
+		if c.beatsFree < c.cfg.BurstLength {
 			return repaired
 		}
-		c.beatsFree -= c.dataRepairCost()
-		c.trr[t] = c.standby[0]
+		c.beatsFree -= c.cfg.BurstLength
+		c.trrData[t] = true
 		repaired++
 	}
 	return repaired
@@ -163,35 +171,33 @@ func (c *Channel) RunBIST() int {
 func (c *Channel) Repaired(f fault.Fault) bool {
 	switch f.Class {
 	case fault.DataTSV:
-		_, ok := c.trr[f.TSV]
-		return ok
+		return f.TSV >= 0 && f.TSV < len(c.trrData) && c.trrData[f.TSV]
 	case fault.AddrTSV:
-		_, ok := c.trr[AddrKey(f.TSV)]
-		return ok
+		return f.TSV >= 0 && f.TSV < len(c.trrAddr) && c.trrAddr[f.TSV]
 	default:
 		return false
 	}
 }
 
 // CorruptedBits returns the line bit positions still corrupted by
-// unrepaired faulty data TSVs.
+// unrepaired faulty data TSVs, grouped by TSV in ascending index order.
 func (c *Channel) CorruptedBits() []int {
 	var out []int
-	for t := range c.faultyData {
-		if _, ok := c.trr[t]; ok {
-			continue
+	for _, t := range c.dataList {
+		if !c.trrData[t] {
+			out = append(out, c.cfg.BitsOnTSV(t)...)
 		}
-		out = append(out, c.cfg.BitsOnTSV(t)...)
 	}
 	return out
 }
 
 // UnreachableAddrBits returns the address-TSV indices whose faults remain
-// unrepaired; each makes half of the channel's rows unreachable.
+// unrepaired, in ascending order; each makes half of the channel's rows
+// unreachable.
 func (c *Channel) UnreachableAddrBits() []int {
 	var out []int
-	for k := range c.faultyAddr {
-		if _, ok := c.trr[AddrKey(k)]; !ok {
+	for _, k := range c.addrList {
+		if !c.trrAddr[k] {
 			out = append(out, k)
 		}
 	}
@@ -201,20 +207,15 @@ func (c *Channel) UnreachableAddrBits() []int {
 // HasCorruptedBits reports whether any unrepaired faulty data TSV remains —
 // the emptiness test of CorruptedBits without building the bit list (the
 // simulator asks this on every TSV event).
-func (c *Channel) HasCorruptedBits() bool {
-	for t := range c.faultyData {
-		if _, ok := c.trr[t]; !ok {
-			return true
-		}
-	}
-	return false
-}
+func (c *Channel) HasCorruptedBits() bool { return anyUnrepaired(c.dataList, c.trrData) }
 
 // HasUnreachableAddr reports whether any unrepaired faulty address TSV
 // remains — the emptiness test of UnreachableAddrBits without allocating.
-func (c *Channel) HasUnreachableAddr() bool {
-	for k := range c.faultyAddr {
-		if _, ok := c.trr[AddrKey(k)]; !ok {
+func (c *Channel) HasUnreachableAddr() bool { return anyUnrepaired(c.addrList, c.trrAddr) }
+
+func anyUnrepaired(faulty []int, trr []bool) bool {
+	for _, i := range faulty {
+		if !trr[i] {
 			return true
 		}
 	}
@@ -267,10 +268,13 @@ func (d *Detector) OnCRCMismatch() (tsvFault bool, repairs int) {
 // simulator: it consumes TSV fault events and reports which remain
 // unrepaired (and therefore keep their footprints).
 type Swapper struct {
-	cfg      stack.Config
-	pool     int
-	channels map[[2]int]*Channel // (stack, die) -> channel state
-	dirty    bool                // any channel mutated since the last Reset
+	cfg  stack.Config
+	pool int
+	// channels is indexed stack*(DataDies+ECCDies)+die; entries are built
+	// on first use.
+	channels []*Channel
+	// touched lists the channels mutated since the last Reset, each once.
+	touched []int
 }
 
 // NewSwapper builds system-wide TSV-SWAP state with the default pool.
@@ -279,53 +283,50 @@ func NewSwapper(cfg stack.Config) *Swapper { return NewSwapperWithPool(cfg, Defa
 // NewSwapperWithPool builds system-wide TSV-SWAP state with n stand-by
 // TSVs per channel.
 func NewSwapperWithPool(cfg stack.Config, n int) *Swapper {
-	return &Swapper{cfg: cfg, pool: n, channels: make(map[[2]int]*Channel)}
-}
-
-// channel returns (lazily creating) the per-channel state.
-func (s *Swapper) channel(stackIdx, die int) *Channel {
-	key := [2]int{stackIdx, die}
-	ch := s.channels[key]
-	if ch == nil {
-		ch = NewChannelWithPool(s.cfg, s.pool)
-		s.channels[key] = ch
-	}
-	return ch
+	return &Swapper{cfg: cfg, pool: n, channels: make([]*Channel, cfg.Stacks*(cfg.DataDies+cfg.ECCDies))}
 }
 
 // Reset restores every channel to its freshly-built state, retaining the
-// channel objects and map capacity so a Swapper can be reused across Monte
-// Carlo trials. It is a no-op when nothing has been applied since the last
-// reset.
+// channel objects so a Swapper can be reused across Monte Carlo trials. It
+// visits only the channels applied to since the last reset.
 func (s *Swapper) Reset() {
-	if !s.dirty {
-		return
+	for _, i := range s.touched {
+		s.channels[i].Reset()
 	}
-	for _, ch := range s.channels {
-		ch.Reset()
-	}
-	s.dirty = false
+	s.touched = s.touched[:0]
 }
 
 // Apply consumes a TSV fault event, injects it into the owning channel,
 // runs detection/BIST, and reports whether the fault was repaired. Non-TSV
-// faults are ignored (returned as unrepaired=false, handled=false).
+// faults are ignored (returned as unrepaired=false, handled=false); a TSV
+// fault outside the geometry's stacks and dies is handled but unrepaired,
+// like an out-of-range TSV index.
 func (s *Swapper) Apply(f fault.Fault) (handled, repaired bool) {
 	if !f.Class.IsTSV() {
 		return false, false
 	}
-	s.dirty = true
+	dies := s.cfg.DataDies + s.cfg.ECCDies
 	die := int(f.Region.Die.Val)
-	ch := s.channel(f.Region.Stack, die)
-	switch f.Class {
-	case fault.DataTSV:
-		if err := ch.InjectDataFault(f.TSV); err != nil {
-			return true, false
-		}
-	case fault.AddrTSV:
-		if err := ch.InjectAddrFault(f.TSV); err != nil {
-			return true, false
-		}
+	if f.Region.Stack < 0 || f.Region.Stack >= s.cfg.Stacks || die >= dies {
+		return true, false
+	}
+	idx := f.Region.Stack*dies + die
+	ch := s.channels[idx]
+	if ch == nil {
+		ch = NewChannelWithPool(s.cfg, s.pool)
+		s.channels[idx] = ch
+	}
+	var err error
+	if f.Class == fault.DataTSV {
+		err = ch.InjectDataFault(f.TSV)
+	} else {
+		err = ch.InjectAddrFault(f.TSV)
+	}
+	if err != nil {
+		return true, false
+	}
+	if !slices.Contains(s.touched, idx) {
+		s.touched = append(s.touched, idx)
 	}
 	// The detection flow of Detector.OnCRCMismatch, inlined so the hot path
 	// does not allocate a Detector per event: corrupt fixed rows implicate

@@ -1,6 +1,8 @@
 package tsv
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -217,4 +219,233 @@ func TestSwapperApply(t *testing.T) {
 	if !repaired {
 		t.Error("other stack's channel failed to repair")
 	}
+}
+
+func TestQueriesAscendingTSVOrder(t *testing.T) {
+	// CorruptedBits and UnreachableAddrBits list TSVs in ascending index
+	// order whatever the injection order, so their output is the same on
+	// every run.
+	cfg := stack.DefaultConfig()
+	ch := NewChannelWithPool(cfg, 1) // 2 beats: room for two address repairs only
+	for _, k := range []int{9, 2, 14, 5} {
+		if err := ch.InjectAddrFault(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []int{200, 3, 77} {
+		if err := ch.InjectDataFault(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := ch.RunBIST(), 2; got != want {
+		t.Fatalf("RunBIST repaired %d, want %d", got, want)
+	}
+	if got, want := ch.UnreachableAddrBits(), []int{9, 14}; !slices.Equal(got, want) {
+		t.Errorf("UnreachableAddrBits = %v, want %v (2 and 5 repaired first)", got, want)
+	}
+	var want []int
+	for _, d := range []int{3, 77, 200} {
+		want = append(want, cfg.BitsOnTSV(d)...)
+	}
+	if got := ch.CorruptedBits(); !slices.Equal(got, want) {
+		t.Errorf("CorruptedBits = %v, want %v", got, want)
+	}
+}
+
+func TestSwapperOutOfGeometry(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	s := NewSwapper(cfg)
+	for _, f := range []fault.Fault{
+		{Class: fault.DataTSV, Region: fault.Region{Stack: cfg.Stacks, Die: fault.ExactPattern(0)}},
+		{Class: fault.DataTSV, Region: fault.Region{Stack: -1, Die: fault.ExactPattern(0)}},
+		{Class: fault.AddrTSV, Region: fault.Region{Die: fault.ExactPattern(uint32(cfg.DataDies + cfg.ECCDies))}},
+		{Class: fault.DataTSV, TSV: cfg.DataTSVs, Region: fault.Region{Die: fault.ExactPattern(0)}},
+	} {
+		if handled, repaired := s.Apply(f); !handled || repaired {
+			t.Errorf("Apply(%+v) = handled %v, repaired %v; want handled, unrepaired", f, handled, repaired)
+		}
+	}
+}
+
+// refChannel is the map-based TSV-SWAP channel model the slice-backed
+// Channel replaced, kept as the oracle for the differential test.
+type refChannel struct {
+	cfg        stack.Config
+	faultyData map[int]bool
+	faultyAddr map[int]bool
+	trrData    map[int]bool
+	trrAddr    map[int]bool
+	beatsFree  int
+}
+
+func newRefChannel(cfg stack.Config, pool int) *refChannel {
+	return &refChannel{cfg: cfg, faultyData: map[int]bool{}, faultyAddr: map[int]bool{},
+		trrData: map[int]bool{}, trrAddr: map[int]bool{}, beatsFree: pool * cfg.BurstLength}
+}
+
+// runBIST scans every TSV index in repair order: address TSVs first, then
+// data TSVs, each ascending, stopping at the first that does not fit.
+func (c *refChannel) runBIST() int {
+	repaired := 0
+	for k := 0; k < c.cfg.AddrTSVs; k++ {
+		if !c.faultyAddr[k] || c.trrAddr[k] {
+			continue
+		}
+		if c.beatsFree < 1 {
+			return repaired
+		}
+		c.beatsFree--
+		c.trrAddr[k] = true
+		repaired++
+	}
+	for d := 0; d < c.cfg.DataTSVs; d++ {
+		if !c.faultyData[d] || c.trrData[d] {
+			continue
+		}
+		if c.beatsFree < c.cfg.BurstLength {
+			return repaired
+		}
+		c.beatsFree -= c.cfg.BurstLength
+		c.trrData[d] = true
+		repaired++
+	}
+	return repaired
+}
+
+func (c *refChannel) unrepaired() bool {
+	for d := range c.faultyData {
+		if !c.trrData[d] {
+			return true
+		}
+	}
+	for k := range c.faultyAddr {
+		if !c.trrAddr[k] {
+			return true
+		}
+	}
+	return false
+}
+
+// refSwapper is the map-based oracle of Swapper.
+type refSwapper struct {
+	cfg      stack.Config
+	pool     int
+	channels map[[2]int]*refChannel
+}
+
+func (s *refSwapper) apply(f fault.Fault) bool {
+	key := [2]int{f.Region.Stack, int(f.Region.Die.Val)}
+	ch := s.channels[key]
+	if ch == nil {
+		ch = newRefChannel(s.cfg, s.pool)
+		s.channels[key] = ch
+	}
+	if f.Class == fault.DataTSV {
+		ch.faultyData[f.TSV] = true
+	} else {
+		ch.faultyAddr[f.TSV] = true
+	}
+	if ch.unrepaired() {
+		ch.runBIST()
+	}
+	if f.Class == fault.DataTSV {
+		return ch.trrData[f.TSV]
+	}
+	return ch.trrAddr[f.TSV]
+}
+
+// randomTSVFault draws a TSV fault on a few hot TSVs of a few channels, so
+// budgets run out and faults repeat.
+func randomTSVFault(rng *rand.Rand, cfg stack.Config) fault.Fault {
+	f := fault.Fault{Class: fault.DataTSV, TSV: rng.Intn(cfg.DataTSVs)}
+	if rng.Intn(3) == 0 {
+		f.Class, f.TSV = fault.AddrTSV, rng.Intn(cfg.AddrTSVs)
+	} else if rng.Intn(2) == 0 {
+		f.TSV = rng.Intn(6) * 32 // hot TSVs, the stand-by ones among them
+	}
+	f.Region = fault.Region{Stack: rng.Intn(2), Die: fault.ExactPattern(uint32(rng.Intn(3)))}
+	return f
+}
+
+func TestChannelMatchesReferenceModel(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 3000; trial++ {
+		pool := 1 + rng.Intn(5)
+		ch, ref := NewChannelWithPool(cfg, pool), newRefChannel(cfg, pool)
+		for n := rng.Intn(12); n > 0; n-- {
+			f := randomTSVFault(rng, cfg)
+			if f.Class == fault.DataTSV {
+				_ = ch.InjectDataFault(f.TSV)
+				ref.faultyData[f.TSV] = true
+			} else {
+				_ = ch.InjectAddrFault(f.TSV)
+				ref.faultyAddr[f.TSV] = true
+			}
+			if rng.Intn(2) == 0 {
+				if got, want := ch.RunBIST(), ref.runBIST(); got != want {
+					t.Fatalf("trial %d: RunBIST repaired %d, reference %d", trial, got, want)
+				}
+			}
+			if ch.BeatsFree() != ref.beatsFree {
+				t.Fatalf("trial %d: BeatsFree %d, reference %d", trial, ch.BeatsFree(), ref.beatsFree)
+			}
+			for _, d := range []int{f.TSV, rng.Intn(cfg.DataTSVs)} {
+				g := fault.Fault{Class: fault.DataTSV, TSV: d}
+				if ch.Repaired(g) != ref.trrData[d] {
+					t.Fatalf("trial %d: Repaired(data %d) = %v, reference %v", trial, d, ch.Repaired(g), ref.trrData[d])
+				}
+			}
+			for k := 0; k < cfg.AddrTSVs; k++ {
+				g := fault.Fault{Class: fault.AddrTSV, TSV: k}
+				if ch.Repaired(g) != ref.trrAddr[k] {
+					t.Fatalf("trial %d: Repaired(addr %d) = %v, reference %v", trial, k, ch.Repaired(g), ref.trrAddr[k])
+				}
+			}
+		}
+	}
+}
+
+func TestSwapperMatchesReferenceModel(t *testing.T) {
+	// One Swapper reused across trials through Reset must answer every
+	// Apply as the reference model does and as a fresh Swapper does.
+	cfg := stack.DefaultConfig()
+	rng := rand.New(rand.NewSource(22))
+	for _, pool := range []int{1, DefaultStandbyCount, 6} {
+		reused := NewSwapperWithPool(cfg, pool)
+		for trial := 0; trial < 1000; trial++ {
+			reused.Reset()
+			fresh := NewSwapperWithPool(cfg, pool)
+			ref := &refSwapper{cfg: cfg, pool: pool, channels: map[[2]int]*refChannel{}}
+			for n := rng.Intn(16); n > 0; n-- {
+				f := randomTSVFault(rng, cfg)
+				want := ref.apply(f)
+				for name, s := range map[string]*Swapper{"reused": reused, "fresh": fresh} {
+					if handled, got := s.Apply(f); !handled || got != want {
+						t.Fatalf("pool %d trial %d: %s Apply(%v tsv %d) = %v,%v, reference repaired %v",
+							pool, trial, name, f.Class, f.TSV, handled, got, want)
+					}
+				}
+			}
+			for i := range reused.channels {
+				if !sameChannelState(reused.channels[i], fresh.channels[i], cfg, pool) {
+					t.Fatalf("pool %d trial %d: reused channel %d differs from a fresh one", pool, trial, i)
+				}
+			}
+		}
+	}
+}
+
+// sameChannelState compares two channels' faults and budgets; a nil
+// channel (never built) reads as a healthy one.
+func sameChannelState(a, b *Channel, cfg stack.Config, pool int) bool {
+	state := func(c *Channel) (int, []int, []int) {
+		if c == nil {
+			return pool * cfg.BurstLength, nil, nil
+		}
+		return c.BeatsFree(), c.dataList, c.addrList
+	}
+	beatsA, dataA, addrA := state(a)
+	beatsB, dataB, addrB := state(b)
+	return beatsA == beatsB && slices.Equal(dataA, dataB) && slices.Equal(addrA, addrB)
 }
