@@ -73,7 +73,9 @@ scenario-smoke:
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
 # (incremental vs batch evaluation, the sampler and TSV-SWAP layers, CRC
-# variants, and the Figure-4 striping study) funneled through cmd/benchjson into a benchstat-compatible JSON
+# variants, and the Figure-4 striping study) plus the timing model's
+# layers (the access path, concurrent runs, parity caching and the LLC
+# model), funneled through cmd/benchjson into a benchstat-compatible JSON
 # report. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
 # it; keep two reports around to benchstat before/after a change.
 bench.out:
@@ -87,16 +89,19 @@ bench.out:
 	$(GO) test -run xxx -bench 'BenchmarkMonteCarloTrialThroughput|BenchmarkFig4StripingReliability' \
 		-benchmem . >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkBroadcastFanout' -benchmem ./internal/stream/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkJobPoll|BenchmarkAccessSlices' -benchmem \
-		./internal/api/ ./internal/perfsim/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkJobPoll' -benchmem ./internal/api/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkAccessSlices|BenchmarkParityCacheHitRate|BenchmarkRunParallel' \
+		-benchmem ./internal/perfsim/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkCacheAccess' -benchmem ./internal/cache/ >> bench.out
 
 bench: bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_faultsim.json < bench.out
 	@rm -f bench.out
 	@echo wrote BENCH_faultsim.json
 
-# Regression gate: rerun the bench groups and fail on a >10% trials/s drop
-# or any allocs/op increase vs the committed BENCH_faultsim.json baseline.
+# Regression gate: rerun the bench groups and fail on a >10% drop in a
+# tracked throughput (trials/s, requests/s, ...) or any allocs/op increase
+# vs the committed BENCH_faultsim.json baseline.
 # Refresh the baseline with `make bench` after an intentional change.
 bench-check: bench.out
 	$(GO) run ./cmd/benchjson -compare BENCH_faultsim.json < bench.out

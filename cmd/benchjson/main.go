@@ -10,10 +10,12 @@
 //	go test -bench=... -benchmem ./... | benchjson -compare BENCH_faultsim.json
 //
 // -compare gates performance against a baseline report: the run fails
-// (exit 1) when any benchmark present in both reports regresses its
-// trials/s throughput by more than -tolerance (default 10%) or increases
-// its allocs/op at all. Benchmarks missing from either side are reported
-// but do not fail the gate.
+// (exit 1) when any benchmark present in both reports regresses a tracked
+// throughput (trials/s, requests/s, ...) by more than -tolerance (default
+// 10%) or increases its allocs/op at all. Benchmarks are matched by name
+// without the -GOMAXPROCS suffix, so a baseline recorded at another core
+// count still gates. Benchmarks missing from either side are reported but
+// do not fail the gate.
 //
 // Non-benchmark lines (PASS, ok, test logs) are ignored; context lines
 // (goos/goarch/pkg/cpu) are captured into the report header.
@@ -114,9 +116,10 @@ func main() {
 // trials/s is raw engine speed, efftrials/s the rare-event engine's
 // variance-equivalent naive throughput (its whole reason to exist — a
 // bias regression shows up here long before wall-clock moves),
-// frames/s the SSE hub's fan-out rate, and polls/s the conditional-GET
-// revalidation rate on the job-status route.
-var throughputUnits = []string{"trials/s", "efftrials/s", "frames/s", "polls/s"}
+// frames/s the SSE hub's fan-out rate, polls/s the conditional-GET
+// revalidation rate on the job-status route, and requests/s the timing
+// model's and LLC model's memory-request rate.
+var throughputUnits = []string{"trials/s", "efftrials/s", "frames/s", "polls/s", "requests/s"}
 
 // compareReports gates cur against base: a benchmark regresses when any
 // tracked throughput unit drops more than tolerance below the baseline,
@@ -126,11 +129,13 @@ var throughputUnits = []string{"trials/s", "efftrials/s", "frames/s", "polls/s"}
 // compared benchmark.
 func compareReports(base, cur *Report, tolerance float64) (regressions, notes []string) {
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
+	baseSuffix := procsSuffix(base)
 	for _, b := range base.Benchmarks {
-		baseline[b.Pkg+"/"+b.Name] = b
+		baseline[b.Pkg+"/"+strings.TrimSuffix(b.Name, baseSuffix)] = b
 	}
+	curSuffix := procsSuffix(cur)
 	for _, b := range cur.Benchmarks {
-		old, ok := baseline[b.Pkg+"/"+b.Name]
+		old, ok := baseline[b.Pkg+"/"+strings.TrimSuffix(b.Name, curSuffix)]
 		if !ok {
 			notes = append(notes, fmt.Sprintf("%-50s new (no baseline)", b.Name))
 			continue
@@ -160,6 +165,29 @@ func compareReports(base, cur *Report, tolerance float64) (regressions, notes []
 		notes = append(notes, line)
 	}
 	return regressions, notes
+}
+
+// procsSuffix returns the "-N" GOMAXPROCS suffix `go test` appended to
+// every benchmark name of the report, or "" when there is none (it
+// appends nothing at GOMAXPROCS 1). The suffix is inferred as the one
+// every name shares, because a name may itself end in "-<digits>".
+func procsSuffix(rep *Report) string {
+	suffix := ""
+	for i, b := range rep.Benchmarks {
+		dash := strings.LastIndexByte(b.Name, '-')
+		if dash < 0 {
+			return ""
+		}
+		if _, err := strconv.Atoi(b.Name[dash+1:]); err != nil {
+			return ""
+		}
+		if i == 0 {
+			suffix = b.Name[dash:]
+		} else if b.Name[dash:] != suffix {
+			return ""
+		}
+	}
+	return suffix
 }
 
 func parse(r io.Reader) (*Report, error) {

@@ -90,3 +90,46 @@ func TestCompareIgnoresUnmatchedBenchmarks(t *testing.T) {
 		t.Fatalf("new benchmark not noted: %v", notes)
 	}
 }
+
+// TestCompareAcrossGOMAXPROCS pins that the gate matches benchmarks
+// recorded at different core counts: names are compared without the
+// -GOMAXPROCS suffix, which is absent at GOMAXPROCS 1.
+func TestCompareAcrossGOMAXPROCS(t *testing.T) {
+	base := mustParse(t, benchOutput) // recorded at -8
+	for _, suffix := range []string{"-2", ""} {
+		cur := mustParse(t, strings.ReplaceAll(
+			strings.ReplaceAll(benchOutput, "-8 ", suffix+" "),
+			"100000 trials/s", "80000 trials/s"))
+		regressions, notes := compareReports(base, cur, 0.10)
+		if len(regressions) != 1 || !strings.Contains(regressions[0], "trials/s") {
+			t.Errorf("suffix %q: regressions = %v, want one trials/s failure", suffix, regressions)
+		}
+		for _, n := range notes {
+			if strings.Contains(n, "no baseline") {
+				t.Errorf("suffix %q: unmatched benchmark: %q", suffix, n)
+			}
+		}
+	}
+}
+
+// TestProcsSuffix pins the suffix inference: a name's own trailing
+// "-<digits>" is not mistaken for GOMAXPROCS unless every name shares it.
+func TestProcsSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"BenchmarkA-4", "BenchmarkB/sub-64-4"}, "-4"},
+		{[]string{"BenchmarkA", "BenchmarkB/sub-64"}, ""},
+		{[]string{"BenchmarkA-2", "BenchmarkB-4"}, ""},
+		{nil, ""},
+	} {
+		rep := &Report{}
+		for _, n := range tc.names {
+			rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: n})
+		}
+		if got := procsSuffix(rep); got != tc.want {
+			t.Errorf("procsSuffix(%v) = %q, want %q", tc.names, got, tc.want)
+		}
+	}
+}

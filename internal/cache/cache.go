@@ -15,14 +15,26 @@ type Cache struct {
 	ways      int
 	lineBytes int
 
-	tags  [][]uint64
-	valid [][]bool
-	dirty [][]bool
-	lru   [][]uint64
+	// lines holds every way, set-major: set s occupies
+	// lines[s*ways : (s+1)*ways].
+	lines []way
+	// clock stamps each access; it is 1 at the first access, so a way's
+	// zero lru marks it invalid.
 	clock uint64
 
 	hits, misses, evictions, writebacks uint64
 }
+
+// way is one cache line's state. The dirty flag lives in tag's top bit,
+// which a real tag never reaches: a tag is an address divided by
+// lineBytes*sets, and New rejects the one geometry (lineBytes*sets == 1)
+// that leaves tags the full 64 bits.
+type way struct {
+	tag uint64 // line tag | dirtyBit
+	lru uint64 // clock of the last access; 0 = invalid
+}
+
+const dirtyBit = uint64(1) << 63
 
 // New builds a cache of totalBytes capacity with the given associativity
 // and line size. totalBytes must divide evenly into sets of ways lines.
@@ -41,18 +53,10 @@ func New(totalBytes, ways, lineBytes int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d must be a power of two", sets)
 	}
-	c := &Cache{sets: sets, ways: ways, lineBytes: lineBytes}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.dirty = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
-		c.dirty[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
+	if sets*lineBytes < 2 {
+		return nil, errors.New("cache: a single set of 1-byte lines leaves no tag bit for the dirty flag")
 	}
-	return c, nil
+	return &Cache{sets: sets, ways: ways, lineBytes: lineBytes, lines: make([]way, lines)}, nil
 }
 
 // Sets returns the number of sets.
@@ -84,12 +88,13 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	set, tag := c.index(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	for w := range ways {
+		if ways[w].tag&^dirtyBit == tag && ways[w].lru != 0 {
 			c.hits++
-			c.lru[set][w] = c.clock
+			ways[w].lru = c.clock
 			if write {
-				c.dirty[set][w] = true
+				ways[w].tag |= dirtyBit
 			}
 			return Result{Hit: true}
 		}
@@ -98,37 +103,39 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// Choose victim: first invalid way, else LRU.
 	victim := -1
 	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
+	for w := range ways {
+		if ways[w].lru == 0 {
 			victim = w
 			break
 		}
-		if c.lru[set][w] < oldest {
-			oldest = c.lru[set][w]
+		if ways[w].lru < oldest {
+			oldest = ways[w].lru
 			victim = w
 		}
 	}
+	v := &ways[victim]
 	res := Result{}
-	if c.valid[set][victim] {
+	if v.lru != 0 {
 		c.evictions++
-		if c.dirty[set][victim] {
+		if v.tag&dirtyBit != 0 {
 			c.writebacks++
 			res.Writeback = true
-			res.WritebackAddr = (c.tags[set][victim]*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
+			res.WritebackAddr = ((v.tag&^dirtyBit)*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
 		}
 	}
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.dirty[set][victim] = write
-	c.lru[set][victim] = c.clock
+	v.tag = tag
+	if write {
+		v.tag |= dirtyBit
+	}
+	v.lru = c.clock
 	return res
 }
 
 // Probe reports whether addr is resident without updating LRU state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
+	for _, w := range c.lines[set*c.ways : (set+1)*c.ways] {
+		if w.tag&^dirtyBit == tag && w.lru != 0 {
 			return true
 		}
 	}
@@ -151,12 +158,6 @@ func (c *Cache) HitRate() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		for w := 0; w < c.ways; w++ {
-			c.valid[i][w] = false
-			c.dirty[i][w] = false
-			c.lru[i][w] = 0
-		}
-	}
+	clear(c.lines)
 	c.clock, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0
 }

@@ -6,7 +6,10 @@
 // The instruments are deliberately minimal — an atomic int64 per counter or
 // gauge, one atomic int64 per histogram bucket — so the engines can update
 // them from their hot loops (per trial batch, per request batch) without
-// measurable overhead and without external dependencies. Engines register
+// measurable overhead and without external dependencies. A loop that
+// observes per item rather than per batch stages through a single-goroutine
+// LocalHistogram (Histogram.Local) and flushes it once per batch, so the
+// shared atomics are touched per batch, not per item. Engines register
 // their metrics against Default() at package init; cmd/citadel-server
 // exposes the registry at GET /metrics.
 package obs
@@ -74,9 +77,25 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
+	h.counts[h.bucket(v)].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// bucket returns the index of the first bound >= v (len(bounds), the +Inf
+// bucket, when none is; NaN lands there too), as sort.SearchFloat64s
+// would. A linear scan beats the binary search's closure calls over the
+// dozen-odd bounds a histogram has.
+func (h *Histogram) bucket(v float64) int {
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
+	return i
+}
+
+// addSum adds v to the float sum with a CAS loop.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -84,6 +103,53 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// Local returns a new staging buffer for h. See LocalHistogram.
+func (h *Histogram) Local() *LocalHistogram {
+	return &LocalHistogram{h: h, counts: make([]int64, len(h.counts))}
+}
+
+// LocalHistogram stages observations for one Histogram on a single
+// goroutine: Observe touches only the buffer's own memory, and Flush
+// publishes everything staged since the last Flush into the shared
+// histogram. A scrape therefore lags the owner by at most one flush
+// interval. Bucket counts and _count are exact; _sum adds the staged
+// values in a different order than direct Observe calls would, so it can
+// differ in the last bits unless every value is an integer.
+//
+// A LocalHistogram is not safe for concurrent use; give each goroutine
+// its own.
+type LocalHistogram struct {
+	h      *Histogram
+	counts []int64 // len(h.counts), non-cumulative per bucket
+	count  int64
+	sum    float64
+}
+
+// Observe stages one value.
+func (l *LocalHistogram) Observe(v float64) {
+	l.counts[l.h.bucket(v)]++
+	l.count++
+	l.sum += v
+}
+
+// Flush folds the staged values into the shared histogram and clears the
+// buffer. Buckets are published before the total, as in Observe, so a
+// concurrent scrape never sees _count ahead of the buckets.
+func (l *LocalHistogram) Flush() {
+	if l.count == 0 {
+		return
+	}
+	for i, n := range l.counts {
+		if n != 0 {
+			l.h.counts[i].Add(n)
+			l.counts[i] = 0
+		}
+	}
+	l.h.count.Add(l.count)
+	l.h.addSum(l.sum)
+	l.count, l.sum = 0, 0
 }
 
 // Count returns the number of observations.

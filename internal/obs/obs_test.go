@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -185,5 +187,122 @@ func TestNewRunIDUnique(t *testing.T) {
 			t.Fatalf("duplicate run ID %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestLocalHistogramMatchesObserve pins the staging contract: values
+// staged through a LocalHistogram and flushed, in several batches, leave
+// the histogram exactly as direct Observe calls do — per-bucket counts,
+// _count, and (for integer values) _sum — so the exposition text is
+// unchanged.
+func TestLocalHistogramMatchesObserve(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8, 15, 30}
+	values := []float64{0, 1, 1, 2, 3, 4, 5, 8, 9, 15, 16, 30, 31, 1000, -3}
+	for i := 0; i < 200; i++ {
+		values = append(values, float64(i*7%45))
+	}
+	direct, staged := NewRegistry(), NewRegistry()
+	hd := direct.Histogram("h", "help", bounds)
+	hs := staged.Histogram("h", "help", bounds)
+	l := hs.Local()
+	for i, v := range values {
+		hd.Observe(v)
+		l.Observe(v)
+		if i%37 == 0 {
+			l.Flush()
+		}
+	}
+	l.Flush()
+	l.Flush() // an empty flush publishes nothing
+	if hs.Count() != hd.Count() || hs.Sum() != hd.Sum() {
+		t.Errorf("staged count/sum %d/%g, direct %d/%g", hs.Count(), hs.Sum(), hd.Count(), hd.Sum())
+	}
+	bd, _, _ := hd.snapshot()
+	bs, _, _ := hs.snapshot()
+	for i := range bd {
+		if bd[i] != bs[i] {
+			t.Errorf("bucket %d: staged %d, direct %d", i, bs[i], bd[i])
+		}
+	}
+	var wd, ws strings.Builder
+	direct.WritePrometheus(&wd)
+	staged.WritePrometheus(&ws)
+	if wd.String() != ws.String() {
+		t.Errorf("exposition differs:\ndirect:\n%s\nstaged:\n%s", wd.String(), ws.String())
+	}
+}
+
+// TestLocalHistogramConcurrentFlush runs several goroutines, each staging
+// into its own buffer and flushing into one shared histogram, while the
+// registry is scraped: every scrape must keep the cumulative +Inf bucket
+// equal to _count, and nothing staged may be lost.
+func TestLocalHistogramConcurrentFlush(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("staged_hist", "help", []float64{1, 2, 4})
+	const workers, perWorker = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			l := h.Local()
+			for i := 0; i < perWorker; i++ {
+				l.Observe(float64((w + i) % 6))
+				if i%64 == 0 {
+					l.Flush()
+				}
+			}
+			l.Flush()
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scrapes := 0; ; scrapes++ {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		var inf, count int64
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, `staged_hist_bucket{le="+Inf"}`) {
+				fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &inf)
+			}
+			if strings.HasPrefix(line, "staged_hist_count") {
+				fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &count)
+			}
+		}
+		if inf != count {
+			t.Fatalf("scrape %d tore: +Inf bucket %d != count %d", scrapes, inf, count)
+		}
+		select {
+		case <-done:
+			if n := h.Count(); n != workers*perWorker {
+				t.Fatalf("count = %d, want %d", n, workers*perWorker)
+			}
+			// Each worker's values cycle through 0..5 from offset w.
+			want := 0.0
+			for w := 0; w < workers; w++ {
+				for i := 0; i < perWorker; i++ {
+					want += float64((w + i) % 6)
+				}
+			}
+			if h.Sum() != want {
+				t.Fatalf("sum = %g, want %g", h.Sum(), want)
+			}
+			return
+		default:
+		}
+	}
+}
+
+// TestBucketMatchesSearch pins the linear bucket scan to the binary
+// search it replaced, on bounds, between them, beyond them, and on NaN.
+func TestBucketMatchesSearch(t *testing.T) {
+	h := NewRegistry().Histogram("b", "help", []float64{-1, 0, 1, 1, 2.5, 10})
+	for _, v := range []float64{math.Inf(-1), -2, -1, -0.5, 0, 0.5, 1, 2, 2.5, 3, 10, 11, math.Inf(1), math.NaN()} {
+		if got, want := h.bucket(v), sort.SearchFloat64s(h.bounds, v); got != want {
+			t.Errorf("bucket(%g) = %d, want %d", v, got, want)
+		}
 	}
 }

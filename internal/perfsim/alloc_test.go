@@ -1,33 +1,12 @@
 package perfsim
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 
 	"repro/internal/stack"
+	"repro/internal/workload"
 )
-
-// newTestSim mirrors RunContext's sim construction so white-box tests
-// can drive the access path directly.
-func newTestSim(cfg Config) *sim {
-	if cfg.Cores == 0 {
-		cfg.Cores = 8
-	}
-	s := &sim{
-		cfg:       cfg,
-		bankFree:  make([]float64, cfg.Stack.TotalDataBanks()),
-		bankFreeW: make([]float64, cfg.Stack.TotalDataBanks()),
-		bankRow:   make([]int, cfg.Stack.TotalDataBanks()),
-		chanFree:  make([]float64, cfg.Stack.Stacks*cfg.Stack.Channels()),
-		chanFreeW: make([]float64, cfg.Stack.Stacks*cfg.Stack.Channels()),
-		coreAvail: make([]float64, cfg.Cores),
-		rng:       rand.New(rand.NewSource(1)),
-	}
-	for i := range s.bankRow {
-		s.bankRow[i] = -1
-	}
-	return s
-}
 
 // TestAccessSlicesNoAlloc pins the hot-path contract: after the scratch
 // slice warms up, an access allocates nothing regardless of striping —
@@ -36,7 +15,7 @@ func newTestSim(cfg Config) *sim {
 func TestAccessSlicesNoAlloc(t *testing.T) {
 	for _, striping := range []stack.Striping{stack.SameBank, stack.AcrossBanks, stack.AcrossChannels} {
 		t.Run(striping.String(), func(t *testing.T) {
-			s := newTestSim(runCfg(striping, Overheads{}, 0))
+			s := newSim(prof(t, "mcf"), runCfg(striping, Overheads{}, 0))
 			lines := s.cfg.Stack.TotalLines()
 			var at float64
 			var lineIdx int64
@@ -53,13 +32,49 @@ func TestAccessSlicesNoAlloc(t *testing.T) {
 	}
 }
 
+// TestServeNoAlloc extends the contract to the whole per-request path: a
+// demand read and a 3DP writeback (read-before-write plus the parity
+// line, cached or in place) allocate nothing, metrics staging included.
+func TestServeNoAlloc(t *testing.T) {
+	p := prof(t, "mcf")
+	for _, striping := range []stack.Striping{stack.SameBank, stack.AcrossBanks, stack.AcrossChannels} {
+		for _, ov := range []Overheads{Citadel3DP(0.5), Citadel3DPNoCache()} {
+			t.Run(fmt.Sprintf("%v/cache=%v", striping, ov.ParityCaching), func(t *testing.T) {
+				s := newSim(p, runCfg(striping, ov, 0))
+				lines := uint64(s.cfg.Stack.TotalLines())
+				read := workload.Request{Core: 1}
+				wb := workload.Request{Core: 2, Write: true}
+				// Warm the slice scratch.
+				s.serve(read)
+				s.serve(wb)
+				var i uint64
+				allocs := testing.AllocsPerRun(200, func() {
+					i++
+					read.LineAddr = i * 997 % lines
+					read.ICount += 50
+					wb.LineAddr = i * 991 % lines
+					s.serve(read)
+					s.serve(wb)
+				})
+				if allocs != 0 {
+					t.Fatalf("serve allocates %.1f per read+writeback, want 0", allocs)
+				}
+				if s.stats.Reads == 0 || s.stats.ParityUpdates == 0 {
+					t.Fatalf("reads=%d parity updates=%d, want both served", s.stats.Reads, s.stats.ParityUpdates)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAccessSlices measures the per-access cost of the line-mapping
 // hot path; before the scratch-slice change each iteration carried a
 // fresh []Slice allocation (B/op and allocs/op were nonzero).
 func BenchmarkAccessSlices(b *testing.B) {
 	for _, striping := range []stack.Striping{stack.SameBank, stack.AcrossBanks, stack.AcrossChannels} {
 		b.Run(striping.String(), func(b *testing.B) {
-			s := newTestSim(runCfg(striping, Overheads{}, 0))
+			p, _ := workload.ByName("mcf")
+			s := newSim(p, runCfg(striping, Overheads{}, 0))
 			lines := s.cfg.Stack.TotalLines()
 			var at float64
 			b.ReportAllocs()

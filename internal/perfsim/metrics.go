@@ -40,3 +40,32 @@ var (
 
 // phaseBounds buckets the per-phase cycle counts.
 var phaseBounds = []float64{1, 2, 4, 8, 15, 30, 60, 120, 240, 480}
+
+// runMetrics is one run's staging buffers for the histograms above. serve
+// observes into them without touching shared memory; RunContext's flush
+// publishes them every cancelCheckInterval requests and when the run
+// ends, alongside the counters.
+type runMetrics struct {
+	readLatency, queue, activate, bus, burst, parityOverhead *obs.LocalHistogram
+}
+
+func newRunMetrics() runMetrics {
+	return runMetrics{
+		readLatency:    mReadLatency.Local(),
+		queue:          mPhaseQueue.Local(),
+		activate:       mPhaseActivate.Local(),
+		bus:            mPhaseBus.Local(),
+		burst:          mPhaseBurst.Local(),
+		parityOverhead: mParityOverhead.Local(),
+	}
+}
+
+// flush publishes and clears every staged observation.
+func (m *runMetrics) flush() {
+	m.readLatency.Flush()
+	m.queue.Flush()
+	m.activate.Flush()
+	m.bus.Flush()
+	m.burst.Flush()
+	m.parityOverhead.Flush()
+}

@@ -53,7 +53,7 @@ func ParityCacheHitRateContext(ctx context.Context, prof workload.Profile, llcBy
 		panic("perfsim: bad LLC geometry: " + err.Error())
 	}
 	gen := workload.NewGenerator(prof, 8, seed)
-	s := &sim{cfg: Config{Stack: cfg}}
+	s := newSim(prof, Config{Stack: cfg})
 	res := ParityCacheResult{Benchmark: prof.Name, Suite: prof.Suite}
 	for i := 0; i < requests; i++ {
 		if i%cancelCheckInterval == 0 && ctx.Err() != nil {

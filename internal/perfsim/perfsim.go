@@ -292,6 +292,37 @@ type sim struct {
 	// stack.Config.AppendSlices so the hot path stops allocating a fresh
 	// []Slice for every one of the millions of line accesses in a run.
 	slices []stack.Slice
+	// metrics stages the run's histogram observations (see runMetrics).
+	metrics runMetrics
+}
+
+// newSim builds the simulation state for one run of prof under cfg, with
+// cfg's zero Requests and Cores replaced by their defaults.
+func newSim(prof workload.Profile, cfg Config) *sim {
+	if cfg.Requests == 0 {
+		cfg.Requests = 100000
+	}
+	if cfg.Cores == 0 {
+		cfg.Cores = 8
+	}
+	banks := cfg.Stack.TotalDataBanks()
+	channels := cfg.Stack.Stacks * cfg.Stack.Channels()
+	s := &sim{
+		cfg:       cfg,
+		prof:      prof,
+		bankFree:  make([]float64, banks),
+		bankFreeW: make([]float64, banks),
+		bankRow:   make([]int, banks),
+		chanFree:  make([]float64, channels),
+		chanFreeW: make([]float64, channels),
+		coreAvail: make([]float64, cfg.Cores),
+		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
+		metrics:   newRunMetrics(),
+	}
+	for i := range s.bankRow {
+		s.bankRow[i] = -1
+	}
+	return s
 }
 
 // Run simulates the profile under the configuration; it cannot be
@@ -304,26 +335,8 @@ func Run(prof workload.Profile, cfg Config) Stats {
 // between request batches. A cancelled run returns the statistics of the
 // requests served so far with Partial set.
 func RunContext(ctx context.Context, prof workload.Profile, cfg Config) Stats {
-	if cfg.Requests == 0 {
-		cfg.Requests = 100000
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 8
-	}
-	s := &sim{
-		cfg:       cfg,
-		prof:      prof,
-		bankFree:  make([]float64, cfg.Stack.TotalDataBanks()),
-		bankFreeW: make([]float64, cfg.Stack.TotalDataBanks()),
-		bankRow:   make([]int, cfg.Stack.TotalDataBanks()),
-		chanFree:  make([]float64, cfg.Stack.Stacks*cfg.Stack.Channels()),
-		chanFreeW: make([]float64, cfg.Stack.Stacks*cfg.Stack.Channels()),
-		coreAvail: make([]float64, cfg.Cores),
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-	}
-	for i := range s.bankRow {
-		s.bankRow[i] = -1
-	}
+	s := newSim(prof, cfg)
+	cfg = s.cfg
 	mRunsActive.Inc()
 	defer mRunsActive.Dec()
 	next := func() workload.Request { return workload.Request{} }
@@ -357,13 +370,15 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) Stats {
 		}
 	}
 	// flush publishes the delta since the last flush into the global
-	// metrics, so a scrape mid-run sees the simulation move.
+	// metrics, counters and staged histograms alike, so a scrape mid-run
+	// sees the simulation move.
 	var flushed Stats
 	flush := func() {
 		mRequests.Add(int64(s.stats.RequestsDone - flushed.RequestsDone))
 		mReads.Add(int64(s.stats.Reads - flushed.Reads))
 		mRowHits.Add(int64(s.stats.RowHits - flushed.RowHits))
 		mRowMisses.Add(int64(s.stats.RowMisses - flushed.RowMisses))
+		s.metrics.flush()
 		flushed = s.stats
 	}
 	defer flush()
@@ -428,7 +443,7 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) Stats {
 // so independent cores exploit channel- and bank-level parallelism — the
 // property the striped layouts then sacrifice.
 func (s *sim) lineIndex(addr uint64) int64 {
-	cfg := s.cfg.Stack
+	cfg := &s.cfg.Stack
 	return cfg.LineIndex(cfg.InterleaveLine(addr))
 }
 
@@ -449,8 +464,8 @@ const StallOverlap = 2.2
 // leak only WriteInterference of their busy time into the read clocks. It
 // returns the completion time.
 func (s *sim) accessSlices(lineIdx int64, at float64, write, background bool) float64 {
-	cfg := s.cfg
-	t := cfg.Timing
+	cfg := &s.cfg
+	t := &cfg.Timing
 	s.slices = cfg.Stack.AppendSlices(s.slices[:0], cfg.Striping, lineIdx)
 	slices := s.slices
 	nUnits := len(slices)
@@ -524,8 +539,8 @@ func (s *sim) accessSlices(lineIdx int64, at float64, write, background bool) fl
 
 // serve processes one request end to end, including scheme overheads.
 func (s *sim) serve(req workload.Request) {
-	cfg := s.cfg
-	t := cfg.Timing
+	cfg := &s.cfg
+	t := &cfg.Timing
 	// The core reaches this request after executing the gap instructions.
 	icountCycles := float64(req.ICount) * s.prof.CPI0 / t.CoreMult
 	issue := s.coreAvail[req.Core]
@@ -577,7 +592,7 @@ func (s *sim) serve(req workload.Request) {
 			// bus time is real.
 			s.stats.ParityUpdates++
 			s.stats.ParityOverheadSum += overhead
-			mParityOverhead.Observe(overhead)
+			s.metrics.parityOverhead.Observe(overhead)
 		}
 		// Writebacks are posted: the core does not stall.
 		return
@@ -587,12 +602,12 @@ func (s *sim) serve(req workload.Request) {
 	s.stats.Reads++
 	s.stats.ReadLatencySum += finish - issue
 	s.stats.ReadPhases.add(s.acc)
-	mReadLatency.Observe(finish - issue)
-	mPhaseQueue.Observe(s.acc.Queue)
-	mPhaseActivate.Observe(s.acc.Activate)
-	mPhaseBus.Observe(s.acc.Bus)
-	mPhaseBurst.Observe(s.acc.Burst)
-	if s.cfg.Tracer.Enabled() && s.cfg.Tracer.ShouldSample(s.stats.Reads) {
+	s.metrics.readLatency.Observe(finish - issue)
+	s.metrics.queue.Observe(s.acc.Queue)
+	s.metrics.activate.Observe(s.acc.Activate)
+	s.metrics.bus.Observe(s.acc.Bus)
+	s.metrics.burst.Observe(s.acc.Burst)
+	if cfg.Tracer.Enabled() && cfg.Tracer.ShouldSample(s.stats.Reads) {
 		ev := trace.Event{
 			Name:  "read",
 			Cat:   "perfsim",
@@ -605,7 +620,7 @@ func (s *sim) serve(req workload.Request) {
 		ev.Args[1] = trace.Arg{Key: "activate", Val: s.acc.Activate}
 		ev.Args[2] = trace.Arg{Key: "bus", Val: s.acc.Bus}
 		ev.Args[3] = trace.Arg{Key: "burst", Val: s.acc.Burst}
-		s.cfg.Tracer.Emit(ev)
+		cfg.Tracer.Emit(ev)
 	}
 	// Reads block the core; memory-level parallelism and out-of-order
 	// execution overlap the service latency and part of the queueing delay
@@ -620,7 +635,7 @@ func (s *sim) serve(req workload.Request) {
 // scattered across physical banks by address-bit swapping so that no single
 // physical bank becomes a bottleneck (paper footnote 4).
 func (s *sim) parityLine(lineIdx int64) int64 {
-	cfg := s.cfg.Stack
+	cfg := &s.cfg.Stack
 	co := cfg.CoordOfLineIndex(lineIdx)
 	pc := stack.Coord{
 		Stack: co.Stack,
