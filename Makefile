@@ -74,34 +74,37 @@ scenario-smoke:
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
 # (incremental vs batch evaluation, the sampler and TSV-SWAP layers, CRC
 # variants, and the Figure-4 striping study) plus the timing model's
-# layers (the access path, concurrent runs, parity caching and the LLC
-# model), funneled through cmd/benchjson into a benchstat-compatible JSON
-# report. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
+# layers (the access path, concurrent runs, parity caching, the LLC
+# model, the address layout and the request generator), funneled through
+# cmd/benchjson into a benchstat-compatible JSON report. Every group runs
+# five times (-count=5) so the gate can compare medians. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
 # it; keep two reports around to benchstat before/after a change.
 bench.out:
-	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
 		-benchmem ./internal/faultsim/ > bench.out
-	$(GO) test -run xxx -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkSamplerAppendLifetime' -benchmem ./internal/fault/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkSwapperApplyReset' -benchmem ./internal/tsv/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkMonteCarloTrialThroughput|BenchmarkFig4StripingReliability' \
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkSamplerAppendLifetime' -benchmem ./internal/fault/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkSwapperApplyReset' -benchmem ./internal/tsv/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkMonteCarloTrialThroughput|BenchmarkFig4StripingReliability' \
 		-benchmem . >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkBroadcastFanout' -benchmem ./internal/stream/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkJobPoll' -benchmem ./internal/api/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkAccessSlices|BenchmarkParityCacheHitRate|BenchmarkRunParallel' \
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkBroadcastFanout' -benchmem ./internal/stream/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkJobPoll' -benchmem ./internal/api/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkAccessSlices|BenchmarkParityCacheHitRate|BenchmarkRunParallel' \
 		-benchmem ./internal/perfsim/ >> bench.out
-	$(GO) test -run xxx -bench 'BenchmarkCacheAccess' -benchmem ./internal/cache/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkCacheAccess' -benchmem ./internal/cache/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkLayoutSpan' -benchmem ./internal/stack/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkGeneratorNext' -benchmem ./internal/workload/ >> bench.out
 
 bench: bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_faultsim.json < bench.out
 	@rm -f bench.out
 	@echo wrote BENCH_faultsim.json
 
-# Regression gate: rerun the bench groups and fail on a >10% drop in a
-# tracked throughput (trials/s, requests/s, ...) or any allocs/op increase
-# vs the committed BENCH_faultsim.json baseline.
+# Regression gate: rerun the bench groups and fail on a >10% drop in the
+# median of a tracked throughput (trials/s, requests/s, ...) or any rise
+# in the median allocs/op vs the committed BENCH_faultsim.json baseline.
 # Refresh the baseline with `make bench` after an intentional change.
 bench-check: bench.out
 	$(GO) run ./cmd/benchjson -compare BENCH_faultsim.json < bench.out

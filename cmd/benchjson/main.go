@@ -12,10 +12,12 @@
 // -compare gates performance against a baseline report: the run fails
 // (exit 1) when any benchmark present in both reports regresses a tracked
 // throughput (trials/s, requests/s, ...) by more than -tolerance (default
-// 10%) or increases its allocs/op at all. Benchmarks are matched by name
-// without the -GOMAXPROCS suffix, so a baseline recorded at another core
-// count still gates. Benchmarks missing from either side are reported but
-// do not fail the gate.
+// 10%) or increases its allocs/op at all. Each side is summarized per
+// benchmark name by the median of its repeats (`go test -count=N` prints
+// one line per repeat), so a single noisy repeat cannot fail the gate.
+// Benchmarks are matched by name without the -GOMAXPROCS suffix, so a
+// baseline recorded at another core count still gates. Benchmarks missing
+// from either side are reported but do not fail the gate.
 //
 // Non-benchmark lines (PASS, ok, test logs) are ignored; context lines
 // (goos/goarch/pkg/cpu) are captured into the report header.
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -117,32 +120,74 @@ func main() {
 // variance-equivalent naive throughput (its whole reason to exist — a
 // bias regression shows up here long before wall-clock moves),
 // frames/s the SSE hub's fan-out rate, polls/s the conditional-GET
-// revalidation rate on the job-status route, and requests/s the timing
-// model's and LLC model's memory-request rate.
-var throughputUnits = []string{"trials/s", "efftrials/s", "frames/s", "polls/s", "requests/s"}
+// revalidation rate on the job-status route, requests/s the timing
+// model's, LLC model's and request generator's memory-request rate, and
+// lines/s the stack address mapping's rate.
+var throughputUnits = []string{"trials/s", "efftrials/s", "frames/s", "polls/s", "requests/s", "lines/s"}
 
-// compareReports gates cur against base: a benchmark regresses when any
-// tracked throughput unit drops more than tolerance below the baseline,
-// or its allocs/op rises above the baseline at all (the trial loop is a
-// zero-allocation contract, so any increase is a leak, not noise).
-// Returns the failing descriptions plus one human-readable note per
-// compared benchmark.
-func compareReports(base, cur *Report, tolerance float64) (regressions, notes []string) {
-	baseline := make(map[string]Benchmark, len(base.Benchmarks))
-	baseSuffix := procsSuffix(base)
-	for _, b := range base.Benchmarks {
-		baseline[b.Pkg+"/"+strings.TrimSuffix(b.Name, baseSuffix)] = b
+// summary is one benchmark name's repeats reduced to per-unit medians.
+type summary struct {
+	name    string // as printed by the first repeat
+	metrics map[string]float64
+}
+
+// summarize groups rep's benchmarks by package and name without the
+// GOMAXPROCS suffix, and reduces each group's repeats to the median of
+// every unit. It returns the group keys in first-seen order.
+func summarize(rep *Report) ([]string, map[string]summary) {
+	suffix := procsSuffix(rep)
+	var keys []string
+	samples := map[string]map[string][]float64{}
+	names := map[string]string{}
+	for _, b := range rep.Benchmarks {
+		k := b.Pkg + "/" + strings.TrimSuffix(b.Name, suffix)
+		if samples[k] == nil {
+			keys = append(keys, k)
+			samples[k] = map[string][]float64{}
+			names[k] = b.Name
+		}
+		for unit, v := range b.Metrics {
+			samples[k][unit] = append(samples[k][unit], v)
+		}
 	}
-	curSuffix := procsSuffix(cur)
-	for _, b := range cur.Benchmarks {
-		old, ok := baseline[b.Pkg+"/"+strings.TrimSuffix(b.Name, curSuffix)]
+	out := make(map[string]summary, len(keys))
+	for k, units := range samples {
+		m := make(map[string]float64, len(units))
+		for unit, vs := range units {
+			m[unit] = median(vs)
+		}
+		out[k] = summary{name: names[k], metrics: m}
+	}
+	return keys, out
+}
+
+// median returns the middle repeat, the lower of the two middle ones for
+// an even count, so that integer metrics such as allocs/op stay integers.
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	return s[(len(s)-1)/2]
+}
+
+// compareReports gates cur against base on the per-name medians of their
+// repeats: a benchmark regresses when any tracked throughput unit drops
+// more than tolerance below the baseline, or its allocs/op rises above
+// the baseline at all (the trial loop is a zero-allocation contract, so
+// any increase is a leak, not noise). Returns the failing descriptions
+// plus one human-readable note per compared benchmark name.
+func compareReports(base, cur *Report, tolerance float64) (regressions, notes []string) {
+	_, baseline := summarize(base)
+	keys, current := summarize(cur)
+	for _, k := range keys {
+		b := current[k]
+		old, ok := baseline[k]
 		if !ok {
-			notes = append(notes, fmt.Sprintf("%-50s new (no baseline)", b.Name))
+			notes = append(notes, fmt.Sprintf("%-50s new (no baseline)", b.name))
 			continue
 		}
-		line := fmt.Sprintf("%-50s", b.Name)
+		line := fmt.Sprintf("%-50s", b.name)
 		for _, unit := range throughputUnits {
-			bt, ct := old.Metrics[unit], b.Metrics[unit]
+			bt, ct := old.metrics[unit], b.metrics[unit]
 			if bt <= 0 {
 				continue
 			}
@@ -151,15 +196,15 @@ func compareReports(base, cur *Report, tolerance float64) (regressions, notes []
 			if ratio < 1-tolerance {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s: %s %.0f -> %.0f (%.1f%% below baseline, tolerance %.0f%%)",
-					b.Name, unit, bt, ct, 100*(1-ratio), 100*tolerance))
+					b.name, unit, bt, ct, 100*(1-ratio), 100*tolerance))
 			}
 		}
-		if ba, ok := old.Metrics["allocs/op"]; ok {
-			ca := b.Metrics["allocs/op"]
+		if ba, ok := old.metrics["allocs/op"]; ok {
+			ca := b.metrics["allocs/op"]
 			line += fmt.Sprintf(" allocs/op %.0f -> %.0f", ba, ca)
 			if ca > ba {
 				regressions = append(regressions, fmt.Sprintf(
-					"%s: allocs/op %.0f -> %.0f (any increase fails)", b.Name, ba, ca))
+					"%s: allocs/op %.0f -> %.0f (any increase fails)", b.name, ba, ca))
 			}
 		}
 		notes = append(notes, line)

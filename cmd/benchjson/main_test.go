@@ -133,3 +133,45 @@ func TestProcsSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareMediansOfRepeats pins the -count=N gate: each side is
+// reduced to the per-name median of its repeats, so outlying repeats on
+// either side neither fail nor mask a regression, for throughput and
+// allocs/op alike.
+func TestCompareMediansOfRepeats(t *testing.T) {
+	repeats := func(trials ...string) string {
+		out := "goos: linux\npkg: repro/internal/faultsim\n"
+		for i, tr := range trials {
+			allocs := "0"
+			if i == 0 {
+				allocs = "3" // one noisy repeat
+			}
+			out += "BenchmarkTrials/Citadel-2   100   10000000 ns/op   " + tr + " trials/s   0 B/op   " + allocs + " allocs/op\n"
+		}
+		return out
+	}
+	base := mustParse(t, repeats("100000", "100000", "60000", "100000", "100000"))
+	for _, tc := range []struct {
+		name   string
+		trials []string
+		want   int
+	}{
+		{"two slow repeats", []string{"50000", "99000", "40000", "98000", "97000"}, 0},
+		{"three slow repeats", []string{"80000", "99000", "70000", "75000", "97000"}, 1},
+	} {
+		regressions, notes := compareReports(base, mustParse(t, repeats(tc.trials...)), 0.10)
+		if len(regressions) != tc.want {
+			t.Errorf("%s: regressions = %v, want %d", tc.name, regressions, tc.want)
+		}
+		if len(notes) != 1 {
+			t.Errorf("%s: got %d notes, want one per name: %v", tc.name, len(notes), notes)
+		}
+	}
+	// The median of the allocs/op repeats is 0 on both sides; a median
+	// that rises fails.
+	cur := mustParse(t, strings.ReplaceAll(repeats("100000", "100000", "100000"), " 0 allocs/op", " 1 allocs/op"))
+	regressions, _ := compareReports(base, cur, 0.10)
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "allocs/op 0 -> 1") {
+		t.Errorf("regressions = %v, want one allocs/op 0 -> 1 failure", regressions)
+	}
+}

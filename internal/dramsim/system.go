@@ -25,27 +25,31 @@ func NewSystem(cfg stack.Config, t Timing) *System {
 	return &System{cfg: cfg, timing: t, channels: chs}
 }
 
-// channelOf returns the channel model for a coordinate.
-func (s *System) channelOf(co stack.Coord) *Channel {
-	return s.channels[co.Stack*s.cfg.Channels()+co.Die]
-}
-
-// Access serves one line access under the striping layout, fanning out to
-// the slice banks and joining on the slowest. It returns the completion
+// Access serves one access to the line at dense index lineIdx (see
+// stack.Config.LineIndex) under the striping layout, fanning out to the
+// slice banks and joining on the slowest. It returns the completion
 // cycle.
 func (s *System) Access(lineIdx int64, striping stack.Striping, write bool, at int64) int64 {
-	done := at
-	slices := s.cfg.Slices(striping, lineIdx)
-	burst := s.timing.TBURST * slices[0].Bytes / s.cfg.LineBytes
+	l := s.cfg.Layout(striping)
+	return s.access(&l, s.cfg.CoordOfLineIndex(lineIdx), write, at)
+}
+
+// access serves one access to the line at co, walking the layout's span
+// of banks.
+func (s *System) access(l *stack.Layout, co stack.Coord, write bool, at int64) int64 {
+	sp := l.Span(co)
+	burst := s.timing.TBURST * sp.Bytes / s.cfg.LineBytes
 	if burst < 1 {
 		burst = 1
 	}
-	for _, sl := range slices {
-		req := &Request{
-			Bank: sl.Coord.Bank, Row: sl.Coord.Row,
+	done := at
+	bankID, chID := sp.Bank0, sp.Chan0
+	for i := 0; i < sp.N; i, bankID, chID = i+1, bankID+sp.BankStride, chID+sp.ChanStride {
+		req := Request{
+			Bank: bankID - chID*s.cfg.BanksPerDie, Row: sp.Row,
 			Write: write, Arrive: at, Burst: burst,
 		}
-		if d := s.channelOf(sl.Coord).serve(req); d > done {
+		if d := s.channels[chID].serve(&req); d > done {
 			done = d
 		}
 	}
@@ -64,14 +68,14 @@ type SystemStats struct {
 // (per-core blocking reads, posted writes), mirroring the coarse model's
 // driver at command granularity.
 func (s *System) RunStream(reqs []workload.Request, striping stack.Striping, cores int, gapCycles float64) SystemStats {
+	l := s.cfg.Layout(striping)
 	coreAvail := make([]float64, cores)
 	var stats SystemStats
 	var latSum int64
 	for _, r := range reqs {
 		core := r.Core % cores
 		issue := coreAvail[core] + gapCycles
-		lineIdx := s.cfg.LineIndex(s.cfg.InterleaveLine(r.LineAddr))
-		done := s.Access(lineIdx, striping, r.Write, int64(issue))
+		done := s.access(&l, l.Interleave(r.LineAddr), r.Write, int64(issue))
 		stats.Requests++
 		if done > stats.LastDone {
 			stats.LastDone = done

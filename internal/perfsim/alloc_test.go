@@ -8,22 +8,18 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAccessSlicesNoAlloc pins the hot-path contract: after the scratch
-// slice warms up, an access allocates nothing regardless of striping —
-// the whole point of AppendSlices over the allocating Slices form, since
-// every simulated request maps its line through here.
+// TestAccessSlicesNoAlloc pins the hot-path contract: an access allocates
+// nothing regardless of striping, since every simulated request maps its
+// line through here.
 func TestAccessSlicesNoAlloc(t *testing.T) {
 	for _, striping := range []stack.Striping{stack.SameBank, stack.AcrossBanks, stack.AcrossChannels} {
 		t.Run(striping.String(), func(t *testing.T) {
 			s := newSim(prof(t, "mcf"), runCfg(striping, Overheads{}, 0))
-			lines := s.cfg.Stack.TotalLines()
 			var at float64
-			var lineIdx int64
-			// Warm the scratch to its striping's slice count.
-			at = s.accessSlices(0, at, false, false)
+			var addr uint64
 			allocs := testing.AllocsPerRun(200, func() {
-				lineIdx = (lineIdx + 997) % lines
-				at = s.accessSlices(lineIdx, at, false, false)
+				addr += 997
+				at = s.accessSlices(s.layout.Interleave(addr), at, false, false)
 			})
 			if allocs != 0 {
 				t.Fatalf("accessSlices allocates %.1f per access, want 0", allocs)
@@ -44,7 +40,6 @@ func TestServeNoAlloc(t *testing.T) {
 				lines := uint64(s.cfg.Stack.TotalLines())
 				read := workload.Request{Core: 1}
 				wb := workload.Request{Core: 2, Write: true}
-				// Warm the slice scratch.
 				s.serve(read)
 				s.serve(wb)
 				var i uint64
@@ -68,19 +63,17 @@ func TestServeNoAlloc(t *testing.T) {
 }
 
 // BenchmarkAccessSlices measures the per-access cost of the line-mapping
-// hot path; before the scratch-slice change each iteration carried a
-// fresh []Slice allocation (B/op and allocs/op were nonzero).
+// hot path, interleave included; it must not allocate.
 func BenchmarkAccessSlices(b *testing.B) {
 	for _, striping := range []stack.Striping{stack.SameBank, stack.AcrossBanks, stack.AcrossChannels} {
 		b.Run(striping.String(), func(b *testing.B) {
 			p, _ := workload.ByName("mcf")
 			s := newSim(p, runCfg(striping, Overheads{}, 0))
-			lines := s.cfg.Stack.TotalLines()
 			var at float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				at = s.accessSlices(int64(i*997)%lines, at, false, false)
+				at = s.accessSlices(s.layout.Interleave(uint64(i)*997), at, false, false)
 			}
 		})
 	}

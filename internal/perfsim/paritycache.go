@@ -66,7 +66,7 @@ func ParityCacheHitRateContext(ctx context.Context, prof workload.Profile, llcBy
 		// Dirty evictions are the writebacks that need parity updates.
 		if r.Writeback {
 			victimLine := r.WritebackAddr / uint64(cfg.LineBytes)
-			pl := s.parityLine(s.lineIndex(victimLine))
+			pl := cfg.LineIndex(s.parityLine(s.layout.Interleave(victimLine)))
 			pAddr := parityTag + uint64(pl)*uint64(cfg.LineBytes)
 			pr := llc.Access(pAddr, true)
 			res.ParityProbes++

@@ -60,8 +60,6 @@ type Overheads struct {
 	// ParityCacheHitRate is the LLC hit rate for parity updates (paper
 	// Figure 13: 85% average). Used when ParityCaching is true.
 	ParityCacheHitRate float64
-	// parityWriteback models the eventual writeback of dirty parity lines
-	// (one per parity miss, steady state).
 }
 
 // Citadel3DP returns the overheads of 3DP with parity caching at the given
@@ -272,6 +270,11 @@ func (s Stats) RowHitRate() float64 {
 type sim struct {
 	cfg  Config
 	prof workload.Profile
+	// layout is cfg.Stack's address mapping compiled for cfg.Striping,
+	// and burst the data-bus cycles of each of its slices: the line burst
+	// split across the banks one access touches, at least one cycle.
+	layout stack.Layout
+	burst  float64
 
 	bankFree  []float64 // read-priority clock per dense bank id
 	bankFreeW []float64 // write-priority (background drain) clock
@@ -288,10 +291,6 @@ type sim struct {
 	// access it wants attributed (demand reads for ReadPhases, the RBW and
 	// parity sections for parity occupancy), accessSlices fills it.
 	acc Phases
-	// slices is the per-access slice scratch: accessSlices refills it via
-	// stack.Config.AppendSlices so the hot path stops allocating a fresh
-	// []Slice for every one of the millions of line accesses in a run.
-	slices []stack.Slice
 	// metrics stages the run's histogram observations (see runMetrics).
 	metrics runMetrics
 }
@@ -310,6 +309,7 @@ func newSim(prof workload.Profile, cfg Config) *sim {
 	s := &sim{
 		cfg:       cfg,
 		prof:      prof,
+		layout:    cfg.Stack.Layout(cfg.Striping),
 		bankFree:  make([]float64, banks),
 		bankFreeW: make([]float64, banks),
 		bankRow:   make([]int, banks),
@@ -318,6 +318,10 @@ func newSim(prof workload.Profile, cfg Config) *sim {
 		coreAvail: make([]float64, cfg.Cores),
 		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
 		metrics:   newRunMetrics(),
+	}
+	s.burst = float64(cfg.Timing.LineBurst) / float64(cfg.Striping.UnitsTouched(cfg.Stack))
+	if s.burst < 1 {
+		s.burst = 1
 	}
 	for i := range s.bankRow {
 		s.bankRow[i] = -1
@@ -437,16 +441,6 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) Stats {
 	return s.stats
 }
 
-// lineIndex folds a workload line address into the stack's address space
-// with a channel-interleaved physical mapping: consecutive DRAM rows of the
-// workload footprint spread first across channels, then banks, then stacks,
-// so independent cores exploit channel- and bank-level parallelism — the
-// property the striped layouts then sacrifice.
-func (s *sim) lineIndex(addr uint64) int64 {
-	cfg := &s.cfg.Stack
-	return cfg.LineIndex(cfg.InterleaveLine(addr))
-}
-
 // WriteInterference is the fraction of background (write-class) bank busy
 // time exposed to the read-priority clock. Memory controllers buffer
 // writebacks and drain them in idle slots (FR-FCFS with write batching), so
@@ -458,25 +452,18 @@ const WriteInterference = 0.15
 // exposed miss penalty and is the model's single calibration constant.
 const StallOverlap = 2.2
 
-// accessSlices performs one memory access (all slices of one line) starting
-// no earlier than at. Demand reads run at high priority; background
-// accesses (writebacks, parity maintenance) use the low-priority clocks and
-// leak only WriteInterference of their busy time into the read clocks. It
-// returns the completion time.
-func (s *sim) accessSlices(lineIdx int64, at float64, write, background bool) float64 {
-	cfg := &s.cfg
-	t := &cfg.Timing
-	s.slices = cfg.Stack.AppendSlices(s.slices[:0], cfg.Striping, lineIdx)
-	slices := s.slices
-	nUnits := len(slices)
-	burst := float64(t.LineBurst) / float64(nUnits)
-	if burst < 1 {
-		burst = 1
-	}
+// accessSlices performs one memory access (all slices of the line at co)
+// starting no earlier than at. Demand reads run at high priority;
+// background accesses (writebacks, parity maintenance) use the
+// low-priority clocks and leak only WriteInterference of their busy time
+// into the read clocks. It returns the completion time.
+func (s *sim) accessSlices(co stack.Coord, at float64, write, background bool) float64 {
+	t := &s.cfg.Timing
+	sp := s.layout.Span(co)
+	burst := s.burst
 	finish := at
-	for _, sl := range slices {
-		bankID := cfg.Stack.BankID(sl.Coord)
-		chID := sl.Coord.Stack*cfg.Stack.Channels() + sl.Coord.Die
+	bankID, chID := sp.Bank0, sp.Chan0
+	for i := 0; i < sp.N; i, bankID, chID = i+1, bankID+sp.BankStride, chID+sp.ChanStride {
 		start := at
 		if background {
 			if s.bankFreeW[bankID] > start {
@@ -489,13 +476,13 @@ func (s *sim) accessSlices(lineIdx int64, at float64, write, background bool) fl
 			start = s.bankFree[bankID]
 		}
 		var svc float64
-		if s.bankRow[bankID] == sl.Coord.Row {
+		if s.bankRow[bankID] == sp.Row {
 			s.stats.RowHits++
 			svc = float64(t.TCAS)
 		} else {
 			s.stats.RowMisses++
 			svc = float64(t.TRP + t.TRCD + t.TCAS)
-			s.bankRow[bankID] = sl.Coord.Row
+			s.bankRow[bankID] = sp.Row
 			s.stats.Power.Activates++
 			s.acc.Activate += float64(t.TRP + t.TRCD)
 		}
@@ -503,9 +490,9 @@ func (s *sim) accessSlices(lineIdx int64, at float64, write, background bool) fl
 		s.acc.CAS += float64(t.TCAS)
 		if write {
 			svc += float64(t.TWTR)
-			s.stats.Power.WriteBytes += uint64(sl.Bytes)
+			s.stats.Power.WriteBytes += uint64(sp.Bytes)
 		} else {
-			s.stats.Power.ReadBytes += uint64(sl.Bytes)
+			s.stats.Power.ReadBytes += uint64(sp.Bytes)
 		}
 		// The channel data bus is occupied only for the burst transfer;
 		// CAS/activate latencies overlap across banks of a channel.
@@ -547,7 +534,7 @@ func (s *sim) serve(req workload.Request) {
 	if icountCycles > issue {
 		issue = icountCycles
 	}
-	lineIdx := s.lineIndex(req.LineAddr)
+	co := s.layout.Interleave(req.LineAddr)
 	if req.Write {
 		finish := issue
 		var overhead float64
@@ -558,11 +545,11 @@ func (s *sim) serve(req workload.Request) {
 			// a busy bank — wait time is backlog, not parity work, and under
 			// saturation it would swamp the signal.
 			s.acc = Phases{}
-			finish = s.accessSlices(lineIdx, finish, false, true)
+			finish = s.accessSlices(co, finish, false, true)
 			overhead = s.acc.Activate + s.acc.CAS + s.acc.Burst
 		}
 		s.acc = Phases{}
-		finish = s.accessSlices(lineIdx, finish, true, true)
+		finish = s.accessSlices(co, finish, true, true)
 		if cfg.Overhead.RBWOnWriteback {
 			// Dimension-1 parity update. Parity lines live in the parity
 			// bank; the address depends only on (row, slot), giving high
@@ -572,7 +559,7 @@ func (s *sim) serve(req workload.Request) {
 				missRate = 1 - cfg.Overhead.ParityCacheHitRate
 			}
 			if s.rng.Float64() < missRate {
-				parityLine := s.parityLine(lineIdx)
+				parityLine := s.parityLine(co)
 				s.acc = Phases{}
 				if cfg.Overhead.ParityCaching {
 					// Fetch the parity line into the LLC; its eventual
@@ -598,7 +585,7 @@ func (s *sim) serve(req workload.Request) {
 		return
 	}
 	s.acc = Phases{}
-	finish := s.accessSlices(lineIdx, issue, false, false)
+	finish := s.accessSlices(co, issue, false, false)
 	s.stats.Reads++
 	s.stats.ReadLatencySum += finish - issue
 	s.stats.ReadPhases.add(s.acc)
@@ -634,15 +621,13 @@ func (s *sim) serve(req workload.Request) {
 // across banks/dies share one parity line — but it is an abstraction
 // scattered across physical banks by address-bit swapping so that no single
 // physical bank becomes a bottleneck (paper footnote 4).
-func (s *sim) parityLine(lineIdx int64) int64 {
+func (s *sim) parityLine(co stack.Coord) stack.Coord {
 	cfg := &s.cfg.Stack
-	co := cfg.CoordOfLineIndex(lineIdx)
-	pc := stack.Coord{
+	return stack.Coord{
 		Stack: co.Stack,
 		Die:   co.Row % cfg.Channels(),
 		Bank:  (co.Row / cfg.Channels()) % cfg.BanksPerDie,
 		Row:   co.Row,
 		Line:  co.Line,
 	}
-	return cfg.LineIndex(pc)
 }

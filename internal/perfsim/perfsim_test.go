@@ -166,12 +166,12 @@ func TestParityCacheHitRateFig13(t *testing.T) {
 }
 
 func TestLineIndexWithinBounds(t *testing.T) {
-	s := &sim{cfg: DefaultConfig()}
+	s := newSim(prof(t, "mcf"), DefaultConfig())
 	total := s.cfg.Stack.TotalLines()
 	for _, addr := range []uint64{0, 1, 12345, 1 << 30, 1 << 40} {
-		idx := s.lineIndex(addr)
-		if idx < 0 || idx >= total {
-			t.Errorf("lineIndex(%d) = %d out of [0,%d)", addr, idx, total)
+		co := s.layout.Interleave(addr)
+		if idx := s.cfg.Stack.LineIndex(co); !s.cfg.Stack.Valid(co) || idx < 0 || idx >= total {
+			t.Errorf("Interleave(%d) = %v (line %d) out of [0,%d)", addr, co, idx, total)
 		}
 	}
 }
@@ -179,11 +179,10 @@ func TestLineIndexWithinBounds(t *testing.T) {
 func TestParityLineSharedAcrossBanks(t *testing.T) {
 	// Lines at the same (row, slot) in different banks/dies share one
 	// Dimension-1 parity line — the locality parity caching exploits.
-	s := &sim{cfg: DefaultConfig()}
-	cfg := s.cfg.Stack
-	a := cfg.LineIndex(stack.Coord{Stack: 0, Die: 1, Bank: 2, Row: 100, Line: 5})
-	b := cfg.LineIndex(stack.Coord{Stack: 0, Die: 4, Bank: 7, Row: 100, Line: 5})
-	c := cfg.LineIndex(stack.Coord{Stack: 0, Die: 1, Bank: 2, Row: 101, Line: 5})
+	s := newSim(prof(t, "mcf"), DefaultConfig())
+	a := stack.Coord{Stack: 0, Die: 1, Bank: 2, Row: 100, Line: 5}
+	b := stack.Coord{Stack: 0, Die: 4, Bank: 7, Row: 100, Line: 5}
+	c := stack.Coord{Stack: 0, Die: 1, Bank: 2, Row: 101, Line: 5}
 	if s.parityLine(a) != s.parityLine(b) {
 		t.Error("same (row,slot) in different banks should share a parity line")
 	}

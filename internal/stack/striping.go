@@ -60,68 +60,31 @@ type Slice struct {
 }
 
 // Slices maps a dense line index (see LineIndex/CoordOfLineIndex) to the set
-// of per-bank slices that hold it under striping s. SameBank returns one
-// full-line slice; the striped layouts return one slice per touched bank.
-//
-// For the striped layouts a "row set" — the rows with the same row index in
-// every striped bank — collectively holds UnitsTouched rows' worth of lines,
-// with each line contributing an equal-size slice to every bank of the set.
+// of per-bank slices that hold it under striping s: Layout.Span expanded
+// into coordinates. SameBank returns one full-line slice whose Coord keeps
+// the line; the striped layouts return one slice per touched bank.
 func (c Config) Slices(s Striping, lineIdx int64) []Slice {
-	return c.AppendSlices(nil, s, lineIdx)
-}
-
-// AppendSlices is the allocation-free form of Slices: it appends the
-// slices for lineIdx to dst and returns the extended slice. Hot loops
-// that map millions of lines (perfsim's access path) call it with a
-// reused scratch slice — AppendSlices(scratch[:0], ...) — so steady
-// state allocates nothing; Slices is the convenience form for callers
-// that map a handful of lines.
-func (c Config) AppendSlices(dst []Slice, s Striping, lineIdx int64) []Slice {
+	l := c.Layout(s)
 	co := c.CoordOfLineIndex(lineIdx)
-	switch s {
-	case SameBank:
-		return append(dst, Slice{
-			Coord:     co,
-			RowOffset: co.Line * c.LineBytes,
-			Bytes:     c.LineBytes,
-		})
-	case AcrossBanks:
-		n := c.BanksPerDie
-		sliceBytes := c.LineBytes / n
-		// Dense line index within the die.
-		within := (int64(co.Bank)*int64(c.RowsPerBank)+int64(co.Row))*int64(c.LinesPerRow()) + int64(co.Line)
-		linesPerRowSet := int64(n * c.RowBytes / c.LineBytes)
-		row := int(within / linesPerRowSet)
-		slot := int(within % linesPerRowSet)
-		for b := 0; b < n; b++ {
-			dst = append(dst, Slice{
-				Coord:     Coord{Stack: co.Stack, Die: co.Die, Bank: b, Row: row},
-				RowOffset: slot * sliceBytes,
-				Bytes:     sliceBytes,
-			})
+	sp := l.Span(co)
+	out := make([]Slice, sp.N)
+	for i := range out {
+		ch := sp.Chan0 + i*sp.ChanStride
+		out[i] = Slice{
+			Coord: Coord{
+				Stack: ch / c.Channels(),
+				Die:   ch % c.Channels(),
+				Bank:  sp.Bank0 + i*sp.BankStride - ch*c.BanksPerDie,
+				Row:   sp.Row,
+			},
+			RowOffset: sp.RowOffset,
+			Bytes:     sp.Bytes,
 		}
-		return dst
-	case AcrossChannels:
-		n := c.Channels()
-		sliceBytes := c.LineBytes / n
-		// Dense line index within the stack.
-		within := ((int64(co.Die)*int64(c.BanksPerDie)+int64(co.Bank))*int64(c.RowsPerBank)+int64(co.Row))*int64(c.LinesPerRow()) + int64(co.Line)
-		linesPerRowSet := int64(n * c.RowBytes / c.LineBytes)
-		set := within / linesPerRowSet
-		slot := int(within % linesPerRowSet)
-		bank := int(set / int64(c.RowsPerBank) % int64(c.BanksPerDie))
-		row := int(set % int64(c.RowsPerBank))
-		for d := 0; d < n; d++ {
-			dst = append(dst, Slice{
-				Coord:     Coord{Stack: co.Stack, Die: d, Bank: bank, Row: row},
-				RowOffset: slot * sliceBytes,
-				Bytes:     sliceBytes,
-			})
-		}
-		return dst
-	default:
-		panic(fmt.Sprintf("stack: unknown striping %d", int(s)))
 	}
+	if s == SameBank {
+		out[0].Coord.Line = co.Line
+	}
+	return out
 }
 
 // TSVForBit returns the data-TSV index that carries the given bit position
@@ -140,28 +103,9 @@ func (c Config) BitsOnTSV(t int) []int {
 }
 
 // InterleaveLine maps a dense workload line address onto stack coordinates
-// with the channel-interleaved, diagonally permuted layout a performance-
-// oriented controller uses: consecutive DRAM rows spread first across
-// channels, then banks, then stacks, with the bank digit folded into the
-// channel digit so pages spread over all channels (footnote-4-style bit
-// swapping). Both timing models share this mapping.
+// with the channel-interleaved layout of Layout.Interleave. Hot loops
+// compile a Layout once instead.
 func (c Config) InterleaveLine(addr uint64) Coord {
-	lpr := uint64(c.LinesPerRow())
-	slot := addr % lpr
-	rowGroup := addr / lpr
-	die := rowGroup % uint64(c.Channels())
-	rowGroup /= uint64(c.Channels())
-	bank := rowGroup % uint64(c.BanksPerDie)
-	rowGroup /= uint64(c.BanksPerDie)
-	die = (die + bank) % uint64(c.Channels())
-	stk := rowGroup % uint64(c.Stacks)
-	rowGroup /= uint64(c.Stacks)
-	row := rowGroup % uint64(c.RowsPerBank)
-	return Coord{
-		Stack: int(stk),
-		Die:   int(die),
-		Bank:  int(bank),
-		Row:   int(row),
-		Line:  int(slot),
-	}
+	l := c.Layout(SameBank)
+	return l.Interleave(addr)
 }

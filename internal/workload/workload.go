@@ -195,16 +195,26 @@ type Request struct {
 // Generator produces a deterministic synthetic request stream realizing a
 // profile's statistics.
 type Generator struct {
-	prof  Profile
 	cores int
 	rng   *rand.Rand
-	seq   uint64
+	// core is the core issuing the next request.
+	core int
+
+	// Per-profile constants, computed once: the instruction gap between
+	// a core's requests, the number of virtual row groups, and the
+	// probabilities of a row-buffer hit and of a write.
+	gap           uint64
+	rowGroups     int64
+	rowHit, write float64
 
 	// Shared pattern history: in rate mode all cores execute the same
 	// program, so they touch the same virtual row groups and slots — but
 	// drift apart by scheduling noise. Core c replays the shared pattern
-	// sequence LagRounds*c rounds behind core 0.
+	// sequence LagRounds*c rounds behind core 0. Round r's pattern lives
+	// in history[r&mask]; the ring is a power of two at least as long as
+	// the deepest lag, so no replayed round is overwritten early.
 	history []pattern
+	mask    uint64
 	round   uint64
 
 	// Per-core instruction counters.
@@ -230,11 +240,25 @@ const LinesPerRowGroup = 32
 // NewGenerator builds a generator for the profile running in rate mode on
 // the given number of cores.
 func NewGenerator(prof Profile, cores int, seed int64) *Generator {
+	rowGroups := int64(prof.FootprintLines / LinesPerRowGroup)
+	if rowGroups == 0 {
+		rowGroups = 1
+	}
+	perK := prof.MPKI + prof.WBPKI
+	ring := 1
+	for ring < LagRounds*(cores-1)+1 {
+		ring <<= 1
+	}
 	return &Generator{
-		prof:   prof,
-		cores:  cores,
-		rng:    rand.New(rand.NewSource(seed)),
-		icount: make([]uint64, cores),
+		cores:     cores,
+		rng:       rand.New(rand.NewSource(seed)),
+		gap:       uint64(1000/perK + 0.5),
+		rowGroups: rowGroups,
+		rowHit:    prof.RowHit,
+		write:     prof.WriteFraction(),
+		history:   make([]pattern, ring),
+		mask:      uint64(ring - 1),
+		icount:    make([]uint64, cores),
 	}
 }
 
@@ -246,40 +270,32 @@ func NewGenerator(prof Profile, cores int, seed int64) *Generator {
 // copies fall into different channels at the same (bank, row) coordinates,
 // exactly like first-touch allocation of identical rate-mode processes.
 func (g *Generator) Next() Request {
-	core := int(g.seq % uint64(g.cores))
-	g.seq++
-	p := g.prof
+	core := g.core
+	if g.core++; g.core == g.cores {
+		g.core = 0
+	}
 	if core == 0 {
-		// Advance the shared pattern once per round.
+		// Advance the shared pattern once per round, from the last one.
 		var pat pattern
-		if len(g.history) > 0 {
-			pat = g.history[len(g.history)-1]
+		if g.round > 0 {
+			pat = g.history[(g.round-1)&g.mask]
 		}
-		rowGroups := uint64(p.FootprintLines / LinesPerRowGroup)
-		if rowGroups == 0 {
-			rowGroups = 1
-		}
-		if g.rng.Float64() >= p.RowHit {
-			pat.rg = uint64(g.rng.Int63n(int64(rowGroups)))
+		if g.rng.Float64() >= g.rowHit {
+			pat.rg = uint64(g.rng.Int63n(g.rowGroups))
 		}
 		pat.slot = uint64(g.rng.Intn(LinesPerRowGroup))
-		pat.write = g.rng.Float64() < p.WriteFraction()
-		g.history = append(g.history, pat)
-		maxLag := LagRounds*(g.cores-1) + 1
-		if len(g.history) > maxLag {
-			g.history = g.history[len(g.history)-maxLag:]
-		}
+		pat.write = g.rng.Float64() < g.write
+		g.history[g.round&g.mask] = pat
 		g.round++
 	}
-	perK := p.MPKI + p.WBPKI
-	gap := uint64(1000/perK + 0.5)
-	g.icount[core] += gap
-	// Core c replays the pattern from LagRounds*c rounds ago.
-	idx := len(g.history) - 1 - LagRounds*core
-	if idx < 0 {
-		idx = 0
+	g.icount[core] += g.gap
+	// Core c replays the pattern from LagRounds*c rounds ago, or the
+	// first round's while that lies before the start.
+	var r uint64
+	if lag := uint64(LagRounds * core); g.round > lag {
+		r = g.round - 1 - lag
 	}
-	pat := g.history[idx]
+	pat := g.history[r&g.mask]
 	physRG := pat.rg*uint64(g.cores) + uint64(core)
 	line := physRG*LinesPerRowGroup + pat.slot
 	return Request{LineAddr: line, Write: pat.write, Core: core, ICount: g.icount[core]}
