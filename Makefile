@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build vet fmt-check staticcheck test race check citbench-test stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -64,6 +64,12 @@ stress-stream:
 
 check: build vet fmt-check staticcheck test race scenario-smoke
 
+# The end-to-end benchmark harness is its own module (citbench/go.mod,
+# replacing repro with this checkout), so `go build ./...` above never
+# compiles it; this builds and tests it against the current API.
+citbench-test:
+	cd citbench && $(GO) test ./...
+
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the
 # race detector end-to-end through the public simulation pipeline.
@@ -75,10 +81,12 @@ scenario-smoke:
 # (incremental vs batch evaluation, the sampler and TSV-SWAP layers, CRC
 # variants, and the Figure-4 striping study) plus the timing model's
 # layers (the access path, concurrent runs, parity caching, the LLC
-# model, the address layout and the request generator), funneled through
-# cmd/benchjson into a benchstat-compatible JSON report. Every group runs
-# five times (-count=5) so the gate can compare medians. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
-# it; keep two reports around to benchstat before/after a change.
+# model on a hit-heavy and a miss-heavy stream, the address layout and
+# the request generator), funneled through cmd/benchjson into a
+# benchstat-compatible JSON report. Every group runs five times
+# (-count=5) so the gate can compare medians.
+# `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
+# keep two reports around to benchstat before/after a change.
 bench.out:
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
 		-benchmem ./internal/faultsim/ > bench.out
@@ -93,7 +101,7 @@ bench.out:
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkJobPoll' -benchmem ./internal/api/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkAccessSlices|BenchmarkParityCacheHitRate|BenchmarkRunParallel' \
 		-benchmem ./internal/perfsim/ >> bench.out
-	$(GO) test -run xxx -count=5 -bench 'BenchmarkCacheAccess' -benchmem ./internal/cache/ >> bench.out
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkCacheAccess|BenchmarkCacheAccessMisses' -benchmem ./internal/cache/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkLayoutSpan' -benchmem ./internal/stack/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkGeneratorNext' -benchmem ./internal/workload/ >> bench.out
 

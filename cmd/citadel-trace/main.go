@@ -76,10 +76,11 @@ func main() {
 
 		// Channel-0 slice through the command-level model.
 		scfg := stack.DefaultConfig()
+		layout := scfg.Layout(stack.SameBank)
 		ch := dramsim.NewChannel(scfg.BanksPerDie, dramsim.DefaultTiming())
 		var dreqs []*dramsim.Request
 		for i, r := range reqs {
-			co := scfg.InterleaveLine(r.LineAddr)
+			co := layout.Interleave(r.LineAddr)
 			if co.Stack != 0 || co.Die != 0 {
 				continue
 			}

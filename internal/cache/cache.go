@@ -2,36 +2,37 @@
 // model the shared last-level cache (LLC) of the baseline system (Table II)
 // and Citadel's on-demand parity caching for Dimension-1 parity lines
 // (paper §VI-C, Figures 12 and 13).
+//
+// Each set keeps its ways in recency order, most recently used first, so
+// a hit moves the line to the front and a miss in a full set evicts the
+// last way: no LRU clock and no victim scan.
 package cache
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
-	sets      int
 	ways      int
 	lineBytes int
+	setMask   uint64 // sets-1
+	setShift  uint   // log2(sets)
 
-	// lines holds every way, set-major: set s occupies
-	// lines[s*ways : (s+1)*ways].
-	lines []way
-	// clock stamps each access; it is 1 at the first access, so a way's
-	// zero lru marks it invalid.
-	clock uint64
+	// tags holds every way, set-major and most recently used first: set s
+	// occupies tags[s*ways : (s+1)*ways], and its first fill[s] entries
+	// are its valid lines. Lines are invalidated only by Reset, so the
+	// valid ways always form a prefix and the last valid way is the LRU.
+	// The dirty flag lives in a tag's top bit, which a real tag never
+	// reaches: a tag is an address divided by lineBytes*sets, and New
+	// rejects the one geometry (lineBytes*sets == 1) that leaves tags the
+	// full 64 bits.
+	tags []uint64
+	fill []int
 
 	hits, misses, evictions, writebacks uint64
-}
-
-// way is one cache line's state. The dirty flag lives in tag's top bit,
-// which a real tag never reaches: a tag is an address divided by
-// lineBytes*sets, and New rejects the one geometry (lineBytes*sets == 1)
-// that leaves tags the full 64 bits.
-type way struct {
-	tag uint64 // line tag | dirtyBit
-	lru uint64 // clock of the last access; 0 = invalid
 }
 
 const dirtyBit = uint64(1) << 63
@@ -56,11 +57,15 @@ func New(totalBytes, ways, lineBytes int) (*Cache, error) {
 	if sets*lineBytes < 2 {
 		return nil, errors.New("cache: a single set of 1-byte lines leaves no tag bit for the dirty flag")
 	}
-	return &Cache{sets: sets, ways: ways, lineBytes: lineBytes, lines: make([]way, lines)}, nil
+	return &Cache{
+		ways: ways, lineBytes: lineBytes,
+		setMask: uint64(sets - 1), setShift: uint(bits.TrailingZeros(uint(sets))),
+		tags: make([]uint64, lines), fill: make([]int, sets),
+	}, nil
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -71,7 +76,7 @@ func (c *Cache) LineBytes() int { return c.lineBytes }
 // index splits an address into set index and tag.
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr / uint64(c.lineBytes)
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	return int(line & c.setMask), line >> c.setShift
 }
 
 // Result describes the outcome of an access.
@@ -86,56 +91,48 @@ type Result struct {
 // Access performs a read (write=false) or write (write=true) of addr,
 // allocating on miss and evicting LRU victims.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.clock++
 	set, tag := c.index(addr)
-	ways := c.lines[set*c.ways : (set+1)*c.ways]
-	for w := range ways {
-		if ways[w].tag&^dirtyBit == tag && ways[w].lru != 0 {
+	if write {
+		tag |= dirtyBit
+	}
+	ways := c.tags[set*c.ways : (set+1)*c.ways]
+	n := c.fill[set]
+	for w, t := range ways[:n] {
+		if (t^tag)&^dirtyBit == 0 {
 			c.hits++
-			ways[w].lru = c.clock
-			if write {
-				ways[w].tag |= dirtyBit
+			tag |= t & dirtyBit
+			for ; w > 0; w-- {
+				ways[w] = ways[w-1]
 			}
+			ways[0] = tag
 			return Result{Hit: true}
 		}
 	}
 	c.misses++
-	// Choose victim: first invalid way, else LRU.
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for w := range ways {
-		if ways[w].lru == 0 {
-			victim = w
-			break
-		}
-		if ways[w].lru < oldest {
-			oldest = ways[w].lru
-			victim = w
-		}
-	}
-	v := &ways[victim]
 	res := Result{}
-	if v.lru != 0 {
+	if n == len(ways) {
+		n--
 		c.evictions++
-		if v.tag&dirtyBit != 0 {
+		if v := ways[n]; v&dirtyBit != 0 {
 			c.writebacks++
 			res.Writeback = true
-			res.WritebackAddr = ((v.tag&^dirtyBit)*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
+			res.WritebackAddr = ((v&^dirtyBit)<<c.setShift | uint64(set)) * uint64(c.lineBytes)
 		}
+	} else {
+		c.fill[set] = n + 1
 	}
-	v.tag = tag
-	if write {
-		v.tag |= dirtyBit
+	for w := n; w > 0; w-- {
+		ways[w] = ways[w-1]
 	}
-	v.lru = c.clock
+	ways[0] = tag
 	return res
 }
 
 // Probe reports whether addr is resident without updating LRU state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, w := range c.lines[set*c.ways : (set+1)*c.ways] {
-		if w.tag&^dirtyBit == tag && w.lru != 0 {
+	for _, t := range c.tags[set*c.ways : set*c.ways+c.fill[set]] {
+		if t&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -158,6 +155,6 @@ func (c *Cache) HitRate() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	clear(c.lines)
-	c.clock, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0
+	clear(c.fill)
+	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
 }

@@ -336,6 +336,98 @@ func TestMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// compareRef performs one access or probe on both models and fails on any
+// difference in the result or the counters.
+func compareRef(t *testing.T, step int, c *Cache, ref *refCache, addr uint64, probe, write bool) {
+	t.Helper()
+	if probe {
+		if got, want := c.Probe(addr), ref.Probe(addr); got != want {
+			t.Fatalf("step %d: Probe(%#x) = %v, reference %v", step, addr, got, want)
+		}
+		return
+	}
+	if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
+		t.Fatalf("step %d: Access(%#x, %v) = %+v, reference %+v", step, addr, write, got, want)
+	}
+	h, m, e, w := c.Stats()
+	if h != ref.hits || m != ref.misses || e != ref.evictions || w != ref.writebacks {
+		t.Fatalf("step %d: stats %d/%d/%d/%d, reference %d/%d/%d/%d",
+			step, h, m, e, w, ref.hits, ref.misses, ref.evictions, ref.writebacks)
+	}
+}
+
+// TestMatchesReferenceWideSet drives one fully associative 64-way set,
+// where a hit can sit at any of 64 recency positions, against the
+// reference model with 192 contending tags.
+func TestMatchesReferenceWideSet(t *testing.T) {
+	const ways, lineBytes = 64, 64
+	c := mustNew(t, ways*lineBytes, ways, lineBytes)
+	ref := newRef(ways*lineBytes, ways, lineBytes)
+	rng := rand.New(rand.NewSource(64))
+	for step := 0; step < 40000; step++ {
+		addr := rng.Uint64()%(3*ways)*lineBytes + rng.Uint64()%lineBytes
+		compareRef(t, step, c, ref, addr, rng.Intn(5) == 0, rng.Intn(2) == 0)
+	}
+	if _, _, _, wb := c.Stats(); wb < 100 {
+		t.Errorf("stream produced %d writebacks; the test exercises too little", wb)
+	}
+}
+
+// TestMatchesReferenceAcrossPartialResets resets the cache every few
+// hundred accesses, long before its sets fill, so fills restart from
+// partly filled sets whose stale tags must stay invisible to Access and
+// Probe.
+func TestMatchesReferenceAcrossPartialResets(t *testing.T) {
+	const total, ways, lineBytes = 64 * 1024, 8, 64
+	c := mustNew(t, total, ways, lineBytes)
+	ref := newRef(total, ways, lineBytes)
+	rng := rand.New(rand.NewSource(7))
+	sets := uint64(c.Sets())
+	for step := 0; step < 40000; step++ {
+		if step%300 == 299 {
+			c.Reset()
+			ref.Reset()
+		}
+		// 16 sets, each contended by 24 tags: a few hundred accesses put
+		// between one and ways lines in each.
+		addr := (rng.Uint64()%24*sets + rng.Uint64()%16) * lineBytes
+		compareRef(t, step, c, ref, addr, rng.Intn(4) == 0, rng.Intn(2) == 0)
+	}
+}
+
+// TestAccessNoAlloc pins the zero-allocation access path for a hit, a
+// clean miss and a miss that evicts a dirty line.
+func TestAccessNoAlloc(t *testing.T) {
+	c := mustNew(t, 1024, 2, 64)
+	stride := uint64(c.Sets() * c.LineBytes()) // same set, next tag
+	// Three tags cycling through one 2-way set miss on every access, and
+	// evict once the set is full (AllocsPerRun warms up with one call).
+	var k uint64
+	cycle := func(set uint64, write bool) func() Result {
+		return func() Result {
+			k++
+			return c.Access(k%3*stride+set*64, write)
+		}
+	}
+	for _, tc := range []struct {
+		name           string
+		op             func() Result
+		hit, writeback bool
+	}{
+		{"hit", func() Result { return c.Access(0, false) }, true, false},
+		{"clean miss", cycle(1, false), false, false},
+		{"dirty eviction", cycle(2, true), false, true},
+	} {
+		var got Result
+		if allocs := testing.AllocsPerRun(100, func() { got = tc.op() }); allocs != 0 {
+			t.Errorf("%s: %v allocs per access, want 0", tc.name, allocs)
+		}
+		if got.Hit != tc.hit || got.Writeback != tc.writeback {
+			t.Errorf("%s: last access %+v, want hit=%v writeback=%v", tc.name, got, tc.hit, tc.writeback)
+		}
+	}
+}
+
 // perfsimParityTag mirrors perfsim's parityTag: parity lines live at
 // 1<<40 and above in the LLC's address space.
 const perfsimParityTag = uint64(1) << 40
@@ -373,6 +465,32 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := stream[i&(len(stream)-1)]
+		c.Access(r.LineAddr*64, r.Write)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "requests/s")
+}
+
+// BenchmarkCacheAccessMisses measures the miss path: a fresh mcf stream
+// four times the Table II LLC's line count hits ~2% of the time, and one
+// untimed lap fills every set, so nearly every timed access evicts the
+// tail of its set.
+func BenchmarkCacheAccessMisses(b *testing.B) {
+	c, err := New(8<<20, 8, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _ := workload.ByName("mcf")
+	stream := workload.NewGenerator(p, 8, 1).Stream(4 * c.Sets() * c.Ways())
+	for _, r := range stream {
+		c.Access(r.LineAddr*64, r.Write)
+	}
+	if hr := c.HitRate(); hr > 0.05 {
+		b.Fatalf("hit rate %.3f: the stream no longer exercises the miss path", hr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := stream[i%len(stream)]
 		c.Access(r.LineAddr*64, r.Write)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "requests/s")

@@ -250,6 +250,7 @@ func CmdLevel(opt Options) Report {
 	fmt.Fprintf(&b, "%-12s | %10s %11s | %10s %11s\n", "benchmark",
 		"rowhit", "avg lat", "rowhit", "avg lat")
 	cfg := stack.DefaultConfig()
+	layout := cfg.Layout(stack.SameBank)
 	ctx := opt.context()
 	partial := false
 	for _, name := range []string{"dealII", "mcf", "lbm", "libquantum", "GemsFDTD"} {
@@ -268,7 +269,7 @@ func CmdLevel(opt Options) Report {
 		cyclesPerReq := 1000 / perK * prof.CPI0 / 4 // core-to-mem clock ratio 4
 		for i := 0; i < opt.Requests*4 && len(reqs) < opt.Requests; i++ {
 			r := gen.Next()
-			co := cfg.InterleaveLine(r.LineAddr)
+			co := layout.Interleave(r.LineAddr)
 			if co.Stack != 0 || co.Die != 0 {
 				continue
 			}
