@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race check citbench-test stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build vet fmt-check staticcheck test race determinism check citbench-test stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -40,6 +40,16 @@ test:
 # paths.
 race:
 	$(GO) test -race -short ./...
+
+# Host-independence gate: the engine packages must pass at one and at
+# four Ps. Seeded results are a pure function of (spec, seed), so any
+# test that pins a value and passes at one setting but not the other
+# has found a result that leaks the host's core count. -count=1 because
+# the test cache ignores GOMAXPROCS.
+DETERMINISM_PKGS = ./internal/faultsim ./internal/rare ./internal/scenario ./internal/jobs ./internal/cluster
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=1 $(DETERMINISM_PKGS)
+	GOMAXPROCS=4 $(GO) test -count=1 $(DETERMINISM_PKGS)
 
 # Orchestrator stress: 100 concurrent job submissions with random
 # cancellations under the race detector. Skipped by -short, so the
@@ -78,8 +88,8 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, the sampler and TSV-SWAP layers, CRC
-# variants, and the Figure-4 striping study) plus the timing model's
+# (incremental vs batch evaluation, the sampler and TSV-SWAP layers, and
+# the Figure-4 striping study) plus the timing model's
 # layers (the access path, concurrent runs, parity caching, the LLC
 # model on a hit-heavy and a miss-heavy stream, the address layout and
 # the request generator), funneled through cmd/benchjson into a
@@ -90,7 +100,6 @@ scenario-smoke:
 bench.out:
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
 		-benchmem ./internal/faultsim/ > bench.out
-	$(GO) test -run xxx -count=5 -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkSamplerAppendLifetime' -benchmem ./internal/fault/ >> bench.out

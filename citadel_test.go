@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -236,14 +235,12 @@ func TestWorkersClampPropagates(t *testing.T) {
 	if r.Partial {
 		t.Error("clamped run spuriously partial")
 	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		// Single-CPU: Workers=-5 and Workers=1 share one RNG stream, so
-		// the clamp is also observable through identical statistics.
-		one := opts
-		one.Workers = 1
-		if got := SimulateReliability(one, Scheme3DP); got.Failures != r.Failures {
-			t.Errorf("Workers=-5 (%d failures) != Workers=1 (%d failures)", r.Failures, got.Failures)
-		}
+	// Every trial has its own RNG stream, so the worker count cannot
+	// change the statistics.
+	one := opts
+	one.Workers = 1
+	if got := SimulateReliability(one, Scheme3DP); got.Failures != r.Failures {
+		t.Errorf("Workers=-5 (%d failures) != Workers=1 (%d failures)", r.Failures, got.Failures)
 	}
 }
 

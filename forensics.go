@@ -8,8 +8,9 @@ import (
 )
 
 // Forensic is a replayable post-mortem record of one uncorrectable trial:
-// seed coordinates, the live fault set at failure, and a machine-readable
-// reason chain naming the correction mechanisms that were defeated.
+// its run seed and trial index, the live fault set at failure, and a
+// machine-readable reason chain naming the correction mechanisms that
+// were defeated.
 type Forensic = faultsim.Forensic
 
 // Reason is one entry of a forensic reason chain.
@@ -23,7 +24,6 @@ type ForensicsReport struct {
 	RunID              string         `json:"runId,omitempty"`
 	Scheme             string         `json:"scheme"`
 	Seed               int64          `json:"seed"`
-	Workers            int            `json:"workers"`
 	Trials             int            `json:"trials"`
 	LifetimeYears      float64        `json:"lifetimeYears"`
 	ScrubIntervalHours float64        `json:"scrubIntervalHours"`
@@ -41,7 +41,6 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 		RunID:              opts.RunID,
 		Scheme:             scheme.String(),
 		Seed:               opts.Seed,
-		Workers:            opts.Workers,
 		Trials:             res.Trials,
 		LifetimeYears:      opts.LifetimeYears,
 		ScrubIntervalHours: opts.ScrubIntervalHours,
@@ -66,7 +65,6 @@ func (r ForensicsReport) Options() ReliabilityOptions {
 		ScrubIntervalHours: r.ScrubIntervalHours,
 		TSVSwap:            r.TSVSwap,
 		Seed:               r.Seed,
-		Workers:            r.Workers,
 		RunID:              r.RunID,
 	}.withDefaults()
 }
@@ -83,7 +81,7 @@ func SchemeByName(name string) (Scheme, bool) {
 }
 
 // ReplayExemplar re-executes the exemplar's trial from its recorded seed
-// coordinates under opts and scheme, returning the reproduced forensic
+// and trial index under opts and scheme, returning the reproduced forensic
 // record. ok is false when the replayed trial does not fail — the
 // options/scheme no longer match the recording.
 func ReplayExemplar(opts ReliabilityOptions, scheme Scheme, ex Forensic) (Forensic, bool) {

@@ -26,9 +26,7 @@ func counter(name string) int64 {
 	return obs.Default().Counter(name, "").Value()
 }
 
-// testSpec is a campaign sized for tests: Workers is pinned to 1 and
-// every field is explicit so the normalized spec (and therefore every
-// chunk's RNG stream) is identical no matter where it runs.
+// testSpec is a campaign sized for tests, with every field explicit.
 func testSpec(seed int64, trials, chunk int) jobs.Spec {
 	return jobs.Spec{Reliability: &jobs.ReliabilitySpec{
 		Scheme:           "Citadel",

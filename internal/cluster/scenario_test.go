@@ -13,9 +13,8 @@ import (
 )
 
 // scenarioSpec composes both new plugin kinds in one campaign: the
-// two-tier-replication scheme under the rowhammer arrival process.
-// Workers pinned to 1 and every field explicit, like testSpec, so the
-// chunk RNG streams are location-independent.
+// two-tier-replication scheme under the rowhammer arrival process, with
+// every field explicit like testSpec.
 func scenarioSpec(seed int64, trials, chunk int) jobs.Spec {
 	return jobs.Spec{Reliability: &jobs.ReliabilitySpec{
 		Scheme:           "two-tier-replication",

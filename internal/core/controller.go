@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/crc"
 	"repro/internal/fault"
 	"repro/internal/stack"
 )
@@ -196,7 +195,7 @@ func (c *Controller) Write(idx int64, data []byte) error {
 		return err
 	}
 	c.meta[idx] = Metadata{
-		CRC32:    crc.ChecksumLine(uint64(idx), data),
+		CRC32:    lineCRC(uint64(idx), data),
 		SwapBits: c.swapBits(data),
 	}
 	return nil
@@ -301,7 +300,7 @@ func (c *Controller) Read(idx int64) ([]byte, error) {
 		// Never written: zeros with no metadata are returned as-is.
 		return raw, nil
 	}
-	if crc.Verify(uint64(idx), raw, md.CRC32) {
+	if lineCRC(uint64(idx), raw) == md.CRC32 {
 		return raw, nil
 	}
 	c.stats.CRCMismatches++
@@ -311,7 +310,7 @@ func (c *Controller) Read(idx int64) ([]byte, error) {
 	// this channel; if so, BIST identifies and the TRR redirects them.
 	if c.repairTSVs(co.Stack, co.Die) {
 		raw, err = c.readResolved(co)
-		if err == nil && crc.Verify(uint64(idx), raw, md.CRC32) {
+		if err == nil && lineCRC(uint64(idx), raw) == md.CRC32 {
 			return raw, nil
 		}
 	}
@@ -368,13 +367,13 @@ func (c *Controller) repairTSVs(stk, die int) bool {
 // reconstruct attempts recovery through each dimension in turn, returning
 // the recovered data and the dimension (1-3) that worked.
 func (c *Controller) reconstruct(idx int64, co stack.Coord, want uint32) ([]byte, int) {
-	if data := c.reconstructDim1(co); data != nil && crc.Verify(uint64(idx), data, want) {
+	if data := c.reconstructDim1(co); data != nil && lineCRC(uint64(idx), data) == want {
 		return data, 1
 	}
-	if data := c.reconstructDim2(co); data != nil && crc.Verify(uint64(idx), data, want) {
+	if data := c.reconstructDim2(co); data != nil && lineCRC(uint64(idx), data) == want {
 		return data, 2
 	}
-	if data := c.reconstructDim3(co); data != nil && crc.Verify(uint64(idx), data, want) {
+	if data := c.reconstructDim3(co); data != nil && lineCRC(uint64(idx), data) == want {
 		return data, 3
 	}
 	return nil, 0
@@ -615,7 +614,7 @@ func (c *Controller) recoverForMigration(idx int64, co stack.Coord) ([]byte, err
 		return nil, err
 	}
 	md, ok := c.meta[idx]
-	if !ok || crc.Verify(uint64(idx), raw, md.CRC32) {
+	if !ok || lineCRC(uint64(idx), raw) == md.CRC32 {
 		return raw, nil
 	}
 	data, _ := c.reconstruct(idx, co, md.CRC32)

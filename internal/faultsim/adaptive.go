@@ -174,8 +174,9 @@ func Merge(a, b Result) Result {
 }
 
 // RunAdaptive accumulates trials in batches until the failure target or
-// the trial cap is hit. Batches use distinct seeds derived from the base
-// seed, so results remain reproducible.
+// the trial cap is hit. Each batch runs the trial range that follows the
+// previous batches, so an adaptive run that stops at N trials equals a
+// plain N-trial run.
 func RunAdaptive(opt AdaptiveOptions, pol Policy) Result {
 	return RunAdaptiveContext(context.Background(), opt, pol)
 }
@@ -191,7 +192,6 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 	total.FailuresByYear = make([]int, years)
 	var scrubsSoFar int64
 	start := time.Now()
-	batch := 0
 	for total.Trials < opt.MaxTrials && total.Failures < opt.TargetFailures {
 		if err := ctx.Err(); err != nil {
 			total.Partial = true
@@ -199,14 +199,7 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 			break
 		}
 		bo := opt.Options
-		bo.Trials = opt.BatchTrials
-		if remaining := opt.MaxTrials - total.Trials; bo.Trials > remaining {
-			bo.Trials = remaining
-		}
-		// Batch streams live in their own index space (batchStreamBase) so
-		// no batch seed can collide with a per-worker stream of another
-		// batch — the failure mode of the old Seed+batch*1e6 scheme.
-		bo.Seed = deriveSeed(opt.Seed, batchStreamBase+uint64(batch))
+		bo.Trials = min(opt.BatchTrials, opt.MaxTrials-total.Trials)
 		var batchScrubs int64
 		if opt.Progress != nil {
 			// Rebase per-batch snapshots so the hook sees one continuous
@@ -226,11 +219,10 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 				opt.Progress(p)
 			}
 		}
-		r := RunContext(ctx, bo, pol)
+		r := runContext(ctx, bo, pol, total.Trials)
 		scrubsSoFar += batchScrubs
 		total = Merge(total, r)
 		total.Policy = pol.name()
-		batch++
 		if r.Partial {
 			break
 		}
@@ -239,9 +231,9 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 	// used to be indistinguishable from hitting the target.
 	total.TargetMet = total.Failures >= opt.TargetFailures
 	if len(total.Exemplars) > opt.MaxExemplars {
-		// Batches already arrive in batch order; within a batch the
-		// exemplars are (Worker, Trial)-sorted, so truncation keeps the
-		// earliest captures.
+		// Batches cover increasing trial ranges and each batch's
+		// exemplars are Trial-sorted, so truncation keeps the earliest
+		// captures.
 		total.Exemplars = total.Exemplars[:opt.MaxExemplars]
 	}
 	if opt.Progress != nil {

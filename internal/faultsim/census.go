@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/tsv"
@@ -90,7 +89,8 @@ func RunCensus(opt Options, useTSVSwap bool) Census {
 
 // RunCensusContext is RunCensus under a context: workers check ctx
 // between trial batches and a cancelled run returns the tallies gathered
-// so far, marked Partial.
+// so far, marked Partial. Trials draw from the same per-trial streams as
+// RunContext.
 func RunCensusContext(ctx context.Context, opt Options, useTSVSwap bool) Census {
 	opt = opt.withDefaults()
 	c := Census{
@@ -100,103 +100,91 @@ func RunCensusContext(ctx context.Context, opt Options, useTSVSwap bool) Census 
 	}
 	mRunsActive.Inc()
 	defer mRunsActive.Dec()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
+	trials, _, err := RunTrials(ctx, opt, TrialLoop{Policy: "census", Trials: mTrials}, func(int) TrialWorker {
+		w := &censusWorker{
+			opt: &opt, c: &c,
+			sampler:    fault.NewSampler(opt.Config, opt.Rates),
+			perBank:    make(map[int]int),
+			rowsHist:   make(map[int]int),
+			failedHist: make(map[int]int),
 		}
-		if lo >= hi {
-			break
+		if useTSVSwap {
+			w.swapper = tsv.NewSwapper(opt.Config)
 		}
-		wg.Add(1)
-		go func(worker, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-			sampler := fault.NewSampler(opt.Config, opt.Rates)
-			rowsHist := make(map[int]int)
-			failedHist := make(map[int]int)
-			done := 0
-			withFailure := 0
-			dies := opt.Config.DataDies + opt.Config.ECCDies
-			// Per-worker pools, reset per trial (same allocation discipline
-			// as the lifetime engine's trialState).
-			var swapper *tsv.Swapper
-			if useTSVSwap {
-				swapper = tsv.NewSwapper(opt.Config)
-			}
-			var trialBuf []fault.Fault
-			// rows needed per bank, keyed by dense bank id incl. the
-			// metadata die.
-			perBank := map[int]int{}
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 && ctx.Err() != nil {
-					break
-				}
-				done++
-				trialBuf = sampler.AppendLifetime(rng, opt.LifetimeHours, trialBuf[:0])
-				fs := trialBuf
-				if swapper != nil {
-					swapper.Reset()
-				}
-				clear(perBank)
-				for _, f := range fs {
-					if f.Persistence != fault.Permanent {
-						continue
-					}
-					if swapper != nil && f.Class.IsTSV() {
-						if _, repaired := swapper.Apply(f); repaired {
-							continue
-						}
-					}
-					rows := f.RowsNeedingSparing(opt.Config)
-					for die := 0; die < dies; die++ {
-						if !f.Region.Die.Contains(uint32(die)) {
-							continue
-						}
-						for bank := 0; bank < opt.Config.BanksPerDie; bank++ {
-							if !f.Region.Bank.Contains(uint32(bank)) {
-								continue
-							}
-							id := (f.Region.Stack*dies+die)*opt.Config.BanksPerDie + bank
-							perBank[id] += rows
-							if perBank[id] > opt.Config.RowsPerBank {
-								perBank[id] = opt.Config.RowsPerBank
-							}
-						}
-					}
-				}
-				failed := 0
-				for _, rows := range perBank {
-					rowsHist[rows]++
-					if rows > c.FailedBankThreshold {
-						failed++
-					}
-				}
-				if failed > 0 {
-					withFailure++
-					failedHist[failed]++
-				}
-			}
-			mTrials.Add(int64(done))
-			mu.Lock()
-			c.Trials += done
-			for k, v := range rowsHist {
-				c.RowsHistogram[k] += v
-			}
-			for k, v := range failedHist {
-				c.FailedBanksPerSystem[k] += v
-			}
-			c.TrialsWithBankFailure += withFailure
-			mu.Unlock()
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	if ctx.Err() != nil && c.Trials < opt.Trials {
-		c.Partial = true
-	}
+		return w
+	})
+	c.Trials, c.Partial = trials, err != nil
 	return c
+}
+
+// censusWorker is RunCensusContext's TrialWorker; like trialState, it
+// resets its pools per trial instead of reallocating them.
+type censusWorker struct {
+	opt     *Options
+	c       *Census
+	sampler *fault.Sampler
+	swapper *tsv.Swapper
+	buf     []fault.Fault
+	// perBank holds the rows needed per bank, keyed by dense bank id
+	// including the metadata die.
+	perBank               map[int]int
+	rowsHist, failedHist  map[int]int
+	trialsWithBankFailure int
+}
+
+func (w *censusWorker) Trial(rng *rand.Rand, _ int) bool {
+	cfg := w.opt.Config
+	dies := cfg.DataDies + cfg.ECCDies
+	w.buf = w.sampler.AppendLifetime(rng, w.opt.LifetimeHours, w.buf[:0])
+	if w.swapper != nil {
+		w.swapper.Reset()
+	}
+	clear(w.perBank)
+	for _, f := range w.buf {
+		if f.Persistence != fault.Permanent {
+			continue
+		}
+		if w.swapper != nil && f.Class.IsTSV() {
+			if _, repaired := w.swapper.Apply(f); repaired {
+				continue
+			}
+		}
+		rows := f.RowsNeedingSparing(cfg)
+		for die := 0; die < dies; die++ {
+			if !f.Region.Die.Contains(uint32(die)) {
+				continue
+			}
+			for bank := 0; bank < cfg.BanksPerDie; bank++ {
+				if !f.Region.Bank.Contains(uint32(bank)) {
+					continue
+				}
+				id := (f.Region.Stack*dies+die)*cfg.BanksPerDie + bank
+				w.perBank[id] = min(w.perBank[id]+rows, cfg.RowsPerBank)
+			}
+		}
+	}
+	failed := 0
+	for _, rows := range w.perBank {
+		w.rowsHist[rows]++
+		if rows > w.c.FailedBankThreshold {
+			failed++
+		}
+	}
+	if failed > 0 {
+		w.trialsWithBankFailure++
+		w.failedHist[failed]++
+	}
+	return false
+}
+
+func (w *censusWorker) Scrubs() int64 { return 0 }
+
+func (w *censusWorker) Fold() {
+	for k, v := range w.rowsHist {
+		w.c.RowsHistogram[k] += v
+	}
+	for k, v := range w.failedHist {
+		w.c.FailedBanksPerSystem[k] += v
+	}
+	w.c.TrialsWithBankFailure += w.trialsWithBankFailure
 }

@@ -5,8 +5,9 @@
 // predicate classifies the accumulated fault state after every arrival. A
 // trial fails at the first uncorrectable state; the probability of system
 // failure over a 7-year lifetime is estimated across 10^5–10^6 independent
-// trials, parallelized across workers with per-worker deterministic RNG
-// streams.
+// trials, parallelized across workers. Every trial draws from its own
+// deterministic RNG stream, so a seeded result does not depend on the
+// worker count.
 package faultsim
 
 import (
@@ -15,8 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ecc"
@@ -46,9 +45,9 @@ type Sparer interface {
 // fault.Sampler satisfies it as-is (the Poisson FIT-rate process); fault
 // model plugins (internal/scenario) provide alternatives such as
 // activation-driven rowhammer arrivals. Implementations must draw all
-// randomness from rng — the engine's determinism contract (equal seed and
-// worker count give bit-identical Results) extends through this interface
-// — and must return the appended portion sorted by Fault.Hours.
+// randomness from rng — the engine's determinism contract (equal seeds
+// give bit-identical Results) extends through this interface — and must
+// return the appended portion sorted by Fault.Hours.
 type Arrivals interface {
 	AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault
 }
@@ -56,8 +55,9 @@ type Arrivals interface {
 // ArrivalStats is optionally implemented by Arrivals sources that
 // accumulate per-scenario counters (e.g. rowhammer activation
 // histograms). The engine calls FlushStats once per worker after its
-// trials finish and folds the maps into Result.ScenarioStats in worker
-// order, keeping the merged floats deterministic.
+// trials finish, adding into Result.ScenarioStats. Counters must be
+// integer-valued (exact below 2^53), so the sum does not depend on how
+// trials were spread over workers.
 type ArrivalStats interface {
 	FlushStats(dst map[string]float64)
 }
@@ -74,9 +74,9 @@ type Observer interface {
 	// (TSV-SWAP-repaired faults are not applied and not observed), after
 	// the correctability verdict for that arrival.
 	Arrival(f fault.Fault, uncorrectable bool)
-	// FlushStats adds the worker's accumulated counters into dst; the
-	// engine merges per-worker maps into Result.ScenarioStats in worker
-	// order.
+	// FlushStats adds the worker's accumulated counters into dst
+	// (Result.ScenarioStats). Like ArrivalStats, counters must be
+	// integer-valued so the sum is exact in any worker order.
 	FlushStats(dst map[string]float64)
 }
 
@@ -116,9 +116,8 @@ type Options struct {
 	ScrubIntervalHours float64 // default: 12
 	Seed               int64
 	// Workers bounds parallelism; it is clamped to [1, GOMAXPROCS]
-	// (0 or negative selects GOMAXPROCS). Note that the worker count
-	// shapes the per-worker RNG streams, so seeded results are
-	// reproducible only for equal effective worker counts.
+	// (0 or negative selects GOMAXPROCS). Every trial draws from its own
+	// RNG stream, so the worker count changes speed, never the result.
 	Workers int
 	// Progress, when non-nil, receives a snapshot of the run roughly
 	// every ProgressInterval plus one final snapshot (Done set) when the
@@ -152,7 +151,8 @@ type Options struct {
 	// in place of the default fault.NewSampler(Config, Rates). The factory
 	// is called once per worker goroutine, so the returned source may keep
 	// unsynchronized state; all randomness must come from the rng handed
-	// to AppendLifetime. Nil keeps the Poisson FIT-rate process and is
+	// to AppendLifetime, and state must not carry from one trial's draws
+	// to the next. Nil keeps the Poisson FIT-rate process and is
 	// bit-identical to the poisson fault-model plugin (internal/scenario),
 	// whose factory performs exactly the same construction.
 	NewArrivals func() Arrivals
@@ -223,8 +223,8 @@ type Result struct {
 	// modeKey of the live set at failure, e.g. "row+bank"). Nil unless
 	// Options.Forensics was set; the per-mode counts sum to Failures.
 	Breakdown map[string]int
-	// Exemplars holds the first MaxExemplars forensic records in
-	// deterministic (Worker, Trial) order. Nil unless Options.Forensics.
+	// Exemplars holds the forensic records of the run's first
+	// MaxExemplars failures, in trial order. Nil unless Options.Forensics.
 	Exemplars []Forensic
 	// ScenarioStats carries additive per-scenario counters flushed by the
 	// policy's Observer and the arrival source's ArrivalStats (e.g.
@@ -628,11 +628,16 @@ func Run(opt Options, pol Policy) Result {
 // cancellation the completed trials are merged into a Result marked
 // Partial rather than discarded.
 func RunContext(ctx context.Context, opt Options, pol Policy) Result {
+	return runContext(ctx, opt, pol, 0)
+}
+
+// runContext is RunContext over the trial range [first, first+opt.Trials):
+// the adaptive driver runs each batch as the range after the previous one.
+func runContext(ctx context.Context, opt Options, pol Policy, first int) Result {
 	opt = opt.withDefaults()
-	years := int(math.Ceil(opt.LifetimeHours / fault.HoursPerYear))
 	res := Result{
 		Policy:         pol.name(),
-		FailuresByYear: make([]int, years),
+		FailuresByYear: make([]int, int(math.Ceil(opt.LifetimeHours/fault.HoursPerYear))),
 		CauseCounts:    make(map[string]int),
 	}
 	if opt.Forensics {
@@ -642,224 +647,14 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 	defer mRunsActive.Dec()
 	tr := opt.Trace
 	runStart := tr.Now()
-	// Live counters: workers flush local tallies here every
-	// cancelCheckInterval trials so the progress reporter and the global
-	// metrics see the run move without per-trial atomics.
-	var progTrials, progFailures, progScrubs atomic.Int64
-	start := time.Now()
-	snapshot := func(done bool) Progress {
-		return Progress{
-			Policy:       pol.name(),
-			RunID:        opt.RunID,
-			TrialsDone:   int(progTrials.Load()),
-			TrialsTarget: opt.Trials,
-			Failures:     int(progFailures.Load()),
-			ScrubPasses:  progScrubs.Load(),
-			Elapsed:      time.Since(start),
-			Done:         done,
-		}
-	}
-	stopProg := make(chan struct{})
-	progDone := make(chan struct{})
-	if opt.Progress != nil {
-		interval := opt.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			defer close(progDone)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-tick.C:
-					opt.Progress(snapshot(false))
-				}
-			}
-		}()
-	} else {
-		close(progDone)
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	// Scenario counters are floats, and float addition is not associative,
-	// so workers park their stats here and the fold below runs in worker
-	// order — keeping ScenarioStats bit-identical across repeat runs
-	// regardless of goroutine completion order.
-	statsByWorker := make([]map[string]float64, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(worker, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-			var src Arrivals
-			if opt.NewArrivals != nil {
-				src = opt.NewArrivals()
-			} else {
-				src = fault.NewSampler(opt.Config, opt.Rates)
-			}
-			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental)
-			var trialBuf []fault.Fault
-			done := 0
-			failures := 0
-			byYear := make([]int, years)
-			causes := make(map[string]int)
-			var breakdown map[string]int
-			var exemplars []Forensic
-			if opt.Forensics {
-				breakdown = make(map[string]int)
-			}
-			traceOn := tr.Enabled()
-			var flushedDone, flushedFailures, flushedScrubs int64
-			flush := func() {
-				progTrials.Add(int64(done) - flushedDone)
-				progFailures.Add(int64(failures) - flushedFailures)
-				progScrubs.Add(ts.scrubs - flushedScrubs)
-				mTrials.Add(int64(done) - flushedDone)
-				mFailures.Add(int64(failures) - flushedFailures)
-				mScrubs.Add(ts.scrubs - flushedScrubs)
-				flushedDone, flushedFailures, flushedScrubs = int64(done), int64(failures), ts.scrubs
-			}
-			defer flush()
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 {
-					flush()
-					if ctx.Err() != nil {
-						break
-					}
-				}
-				done++
-				trialBuf = src.AppendLifetime(rng, opt.LifetimeHours, trialBuf[:0])
-				fs := trialBuf
-				if len(fs) == 0 {
-					continue
-				}
-				var when float64
-				var cause fault.Class
-				sampled := traceOn && tr.ShouldSample(uint64(worker)<<32|uint64(t))
-				var spanStart float64
-				if sampled {
-					spanStart = tr.Now()
-				}
-				if len(fs) == 1 {
-					when, cause = ts.runSingle(fs[0])
-				} else {
-					when, cause = ts.run(fs)
-				}
-				if sampled {
-					ev := trace.Event{
-						Name: "trial", Cat: "faultsim", Phase: trace.PhaseComplete,
-						TS: spanStart, Dur: tr.Now() - spanStart, TID: int64(worker),
-					}
-					ev.Args[0] = trace.Arg{Key: "trial", Val: float64(t)}
-					ev.Args[1] = trace.Arg{Key: "faults", Val: float64(len(fs))}
-					if when >= 0 {
-						ev.Args[2] = trace.Arg{Key: "failed", Val: 1}
-					}
-					ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
-					tr.Emit(ev)
-				}
-				if when >= 0 {
-					failures++
-					causes[cause.String()]++
-					y := int(when / fault.HoursPerYear)
-					if y >= years {
-						y = years - 1
-					}
-					for i := y; i < years; i++ {
-						byYear[i]++
-					}
-					if traceOn {
-						ev := trace.Event{
-							Name: "uncorrectable", Cat: "faultsim", Phase: trace.PhaseInstant,
-							TS: tr.Now(), TID: int64(worker),
-						}
-						ev.Args[0] = trace.Arg{Key: "trial", Val: float64(t)}
-						ev.Args[1] = trace.Arg{Key: "hours", Val: when}
-						ev.Args[2] = trace.Arg{Key: "cause", Str: cause.String()}
-						ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
-						tr.Emit(ev)
-					}
-					if opt.Forensics {
-						// The live set at failure: the single drawn fault on
-						// the fast path, otherwise the trial state's live
-						// permanent+transient faults.
-						live := fs
-						if len(fs) > 1 {
-							live = ts.liveFaults()
-						}
-						breakdown[modeKey(live)]++
-						if len(exemplars) < opt.MaxExemplars {
-							exemplars = append(exemplars,
-								captureForensic(opt, pol, ts, worker, t, live, when, cause))
-						}
-					}
-				}
-			}
-			var stats map[string]float64
-			if so, ok := src.(ArrivalStats); ok {
-				stats = make(map[string]float64)
-				so.FlushStats(stats)
-			}
-			if ts.obs != nil {
-				if stats == nil {
-					stats = make(map[string]float64)
-				}
-				ts.obs.FlushStats(stats)
-			}
-			statsByWorker[worker] = stats
-			mu.Lock()
-			res.Trials += done
-			res.Failures += failures
-			for i := range byYear {
-				res.FailuresByYear[i] += byYear[i]
-			}
-			for k, v := range causes {
-				res.CauseCounts[k] += v
-			}
-			for k, v := range breakdown {
-				res.Breakdown[k] += v
-			}
-			res.Exemplars = append(res.Exemplars, exemplars...)
-			mu.Unlock()
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	close(stopProg)
-	<-progDone
-	// Fold scenario stats in worker order (float addition order matters
-	// for bit-identical repeats). Nil when no worker produced any, so
-	// plain runs keep a nil map.
-	for _, stats := range statsByWorker {
-		if len(stats) == 0 {
-			continue
-		}
-		if res.ScenarioStats == nil {
-			res.ScenarioStats = make(map[string]float64, len(stats))
-		}
-		for k, v := range stats {
-			res.ScenarioStats[k] += v
-		}
-	}
-	if err := ctx.Err(); err != nil && res.Trials < opt.Trials {
-		res.Partial = true
-		res.Err = err
-	}
+	loop := TrialLoop{Policy: pol.name(), Trials: mTrials, Failures: mFailures, Scrubs: mScrubs, first: first}
+	res.Trials, res.Failures, res.Err = RunTrials(ctx, opt, loop, func(worker int) TrialWorker {
+		return newRunWorker(&opt, pol, &res, worker)
+	})
+	res.Partial = res.Err != nil
 	if len(res.Exemplars) > 0 {
-		// Workers each kept up to MaxExemplars; order deterministically and
-		// keep the global first K so the exemplar set is independent of
-		// goroutine scheduling.
+		// Workers each kept up to MaxExemplars; keep the globally first K
+		// failures so the exemplar set is independent of the partition.
 		sortExemplars(res.Exemplars)
 		if len(res.Exemplars) > opt.MaxExemplars {
 			res.Exemplars = res.Exemplars[:opt.MaxExemplars]
@@ -876,10 +671,139 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 		ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
 		tr.Emit(ev)
 	}
-	if opt.Progress != nil {
-		opt.Progress(snapshot(true))
-	}
 	return res
+}
+
+// runWorker is RunContext's TrialWorker: one arrival source and one
+// pooled trialState, with integer tallies folded into res at the end.
+// ReplayTrial runs its single trial through one as well.
+type runWorker struct {
+	opt       *Options
+	res       *Result
+	id        int
+	traceOn   bool
+	src       Arrivals
+	ts        *trialState
+	buf       []fault.Fault
+	byYear    []int
+	causes    [numClasses]int
+	breakdown map[string]int
+	exemplars []Forensic
+}
+
+func newRunWorker(opt *Options, pol Policy, res *Result, id int) *runWorker {
+	w := &runWorker{
+		opt: opt, res: res, id: id, traceOn: opt.Trace.Enabled(),
+		ts:     newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental),
+		byYear: make([]int, int(math.Ceil(opt.LifetimeHours/fault.HoursPerYear))),
+	}
+	if opt.NewArrivals != nil {
+		w.src = opt.NewArrivals()
+	} else {
+		w.src = fault.NewSampler(opt.Config, opt.Rates)
+	}
+	return w
+}
+
+func (w *runWorker) Trial(rng *rand.Rand, i int) bool {
+	w.buf = w.src.AppendLifetime(rng, w.opt.LifetimeHours, w.buf[:0])
+	fs := w.buf
+	if len(fs) == 0 {
+		return false
+	}
+	tr := w.opt.Trace
+	sampled := w.traceOn && tr.ShouldSample(uint64(i))
+	var spanStart float64
+	if sampled {
+		spanStart = tr.Now()
+	}
+	var when float64
+	var cause fault.Class
+	if len(fs) == 1 {
+		when, cause = w.ts.runSingle(fs[0])
+	} else {
+		when, cause = w.ts.run(fs)
+	}
+	if sampled {
+		ev := trace.Event{
+			Name: "trial", Cat: "faultsim", Phase: trace.PhaseComplete,
+			TS: spanStart, Dur: tr.Now() - spanStart, TID: int64(w.id),
+		}
+		ev.Args[0] = trace.Arg{Key: "trial", Val: float64(i)}
+		ev.Args[1] = trace.Arg{Key: "faults", Val: float64(len(fs))}
+		if when >= 0 {
+			ev.Args[2] = trace.Arg{Key: "failed", Val: 1}
+		}
+		ev.Args[3] = trace.Arg{Key: "runId", Str: w.opt.RunID}
+		tr.Emit(ev)
+	}
+	if when < 0 {
+		return false
+	}
+	w.causes[cause]++
+	y := min(int(when/fault.HoursPerYear), len(w.byYear)-1)
+	for ; y < len(w.byYear); y++ {
+		w.byYear[y]++
+	}
+	if w.traceOn {
+		ev := trace.Event{
+			Name: "uncorrectable", Cat: "faultsim", Phase: trace.PhaseInstant,
+			TS: tr.Now(), TID: int64(w.id),
+		}
+		ev.Args[0] = trace.Arg{Key: "trial", Val: float64(i)}
+		ev.Args[1] = trace.Arg{Key: "hours", Val: when}
+		ev.Args[2] = trace.Arg{Key: "cause", Str: cause.String()}
+		ev.Args[3] = trace.Arg{Key: "runId", Str: w.opt.RunID}
+		tr.Emit(ev)
+	}
+	if w.opt.Forensics {
+		// The live set at failure: the single drawn fault on the fast
+		// path, otherwise the trial state's live permanent+transient
+		// faults.
+		live := fs
+		if len(fs) > 1 {
+			live = w.ts.liveFaults()
+		}
+		if w.breakdown == nil {
+			w.breakdown = make(map[string]int)
+		}
+		w.breakdown[modeKey(live)]++
+		if len(w.exemplars) < w.opt.MaxExemplars {
+			w.exemplars = append(w.exemplars, captureForensic(*w.opt, w.ts.pol, w.ts, i, live, when, cause))
+		}
+	}
+	return true
+}
+
+func (w *runWorker) Scrubs() int64 { return w.ts.scrubs }
+
+// Fold adds the worker's tallies into the shared result. Scenario
+// counters flush straight into ScenarioStats: they are integer-valued,
+// so the sum is exact in any worker order.
+func (w *runWorker) Fold() {
+	res := w.res
+	for y, n := range w.byYear {
+		res.FailuresByYear[y] += n
+	}
+	for c, n := range w.causes {
+		if n > 0 {
+			res.CauseCounts[fault.Class(c).String()] += n
+		}
+	}
+	for k, n := range w.breakdown {
+		res.Breakdown[k] += n
+	}
+	res.Exemplars = append(res.Exemplars, w.exemplars...)
+	so, hasStats := w.src.(ArrivalStats)
+	if (hasStats || w.ts.obs != nil) && res.ScenarioStats == nil {
+		res.ScenarioStats = make(map[string]float64) // stays nil for plain runs
+	}
+	if hasStats {
+		so.FlushStats(res.ScenarioStats)
+	}
+	if w.ts.obs != nil {
+		w.ts.obs.FlushStats(res.ScenarioStats)
+	}
 }
 
 // RunAll evaluates several policies under the same options. Each policy

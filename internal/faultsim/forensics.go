@@ -11,24 +11,20 @@ import (
 )
 
 // Forensic is a post-mortem record of one uncorrectable trial: enough to
-// replay the trial deterministically (BaseSeed + Worker + Trial pin the
-// exact fault stream) plus the live fault set and a machine-readable reason
-// chain explaining which correction mechanism was defeated.
+// replay the trial deterministically (BaseSeed + Trial pin the exact fault
+// stream) plus the live fault set and a machine-readable reason chain
+// explaining which correction mechanism was defeated.
 type Forensic struct {
 	// Policy is the protection scheme that failed.
 	Policy string `json:"policy"`
 	// RunID correlates the record with progress lines, metrics, and traces.
 	RunID string `json:"runId,omitempty"`
-	// BaseSeed is the Options.Seed of the run (for adaptive runs, the
-	// derived per-batch seed). Replaying requires this exact seed.
+	// BaseSeed is the Options.Seed of the run. Replaying requires this
+	// exact seed.
 	BaseSeed int64 `json:"baseSeed"`
-	// StreamSeed is deriveSeed(BaseSeed, Worker) — the worker RNG stream
-	// the trial was drawn from, recorded for diagnostics.
-	StreamSeed int64 `json:"streamSeed"`
-	// Worker and Trial locate the trial inside the run: trial Trial of
-	// worker Worker's stream.
-	Worker int `json:"worker"`
-	Trial  int `json:"trial"`
+	// Trial is the global index of the trial within the run; it alone
+	// selects the trial's RNG stream.
+	Trial int `json:"trial"`
 	// FailureHours is when the fatal fault arrived.
 	FailureHours float64 `json:"failureHours"`
 	// Cause is the class of the proximate-cause fault.
@@ -47,8 +43,8 @@ type Forensic struct {
 
 // String renders the record in one line for logs.
 func (f Forensic) String() string {
-	return fmt.Sprintf("%s worker=%d trial=%d mode=%s cause=%s at %.0fh (%d live faults, %d reasons)",
-		f.Policy, f.Worker, f.Trial, f.Mode, f.Cause, f.FailureHours, len(f.Faults), len(f.Reasons))
+	return fmt.Sprintf("%s trial=%d mode=%s cause=%s at %.0fh (%d live faults, %d reasons)",
+		f.Policy, f.Trial, f.Mode, f.Cause, f.FailureHours, len(f.Faults), len(f.Reasons))
 }
 
 // numClasses spans fault.Bit..fault.AddrTSV.
@@ -87,13 +83,11 @@ func modeKey(live []fault.Fault) string {
 // has already failed), so it may allocate freely. live is the trial's live
 // fault set at the moment of failure; ts carries the sparing/TSV state of
 // that same trial.
-func captureForensic(opt Options, pol Policy, ts *trialState, worker, trial int, live []fault.Fault, when float64, cause fault.Class) Forensic {
+func captureForensic(opt Options, pol Policy, ts *trialState, trial int, live []fault.Fault, when float64, cause fault.Class) Forensic {
 	fx := Forensic{
 		Policy:       pol.name(),
 		RunID:        opt.RunID,
 		BaseSeed:     opt.Seed,
-		StreamSeed:   deriveSeed(opt.Seed, uint64(worker)),
-		Worker:       worker,
 		Trial:        trial,
 		FailureHours: when,
 		Cause:        cause.String(),
@@ -137,58 +131,34 @@ func captureForensic(opt Options, pol Policy, ts *trialState, worker, trial int,
 	return fx
 }
 
-// sortExemplars orders forensic records deterministically — by (Worker,
-// Trial) — so "the first K exemplars" does not depend on goroutine
-// scheduling.
+// sortExemplars orders forensic records by global trial index, so "the
+// first K exemplars" are the run's first K failures whatever the worker
+// count.
 func sortExemplars(ex []Forensic) {
-	sort.Slice(ex, func(i, j int) bool {
-		if ex[i].Worker != ex[j].Worker {
-			return ex[i].Worker < ex[j].Worker
-		}
-		return ex[i].Trial < ex[j].Trial
-	})
+	sort.Slice(ex, func(i, j int) bool { return ex[i].Trial < ex[j].Trial })
 }
 
-// ReplayTrial re-executes trial `trial` of worker `worker`'s RNG stream
-// under opt and pol, and returns its forensic record. ok is false when the
-// replayed trial does not fail (wrong seed/worker/trial coordinates, or
-// changed options). Replay is exact because a worker's trials consume its
-// stream in order: re-seeding the stream and re-drawing trials 0..trial-1
-// reproduces the identical fault sequence.
-func ReplayTrial(opt Options, pol Policy, worker, trial int) (Forensic, bool) {
+// ReplayTrial re-executes global trial `trial` of a run under opt and pol,
+// and returns its forensic record. ok is false when the replayed trial
+// does not fail (wrong seed or trial, or changed options). Every trial
+// draws from its own stream, so the replay reseeds once and runs one
+// lifetime through the engine's own trial kernel.
+func ReplayTrial(opt Options, pol Policy, trial int) (Forensic, bool) {
 	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-	sampler := fault.NewSampler(opt.Config, opt.Rates)
-	var buf []fault.Fault
-	for t := 0; t < trial; t++ {
-		buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
-	}
-	buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
-	if len(buf) == 0 {
+	opt.Forensics, opt.MaxExemplars, opt.Trace = true, 1, nil
+	w := newRunWorker(&opt, pol, &Result{}, 0)
+	src := &trialSource{}
+	src.seedTrial(opt.Seed, uint64(trial))
+	if !w.Trial(rand.New(src), trial) {
 		return Forensic{}, false
 	}
-	ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental)
-	var when float64
-	var cause fault.Class
-	if len(buf) == 1 {
-		when, cause = ts.runSingle(buf[0])
-	} else {
-		when, cause = ts.run(buf)
-	}
-	if when < 0 {
-		return Forensic{}, false
-	}
-	live := buf
-	if len(buf) > 1 {
-		live = ts.liveFaults()
-	}
-	return captureForensic(opt, pol, ts, worker, trial, live, when, cause), true
+	return w.exemplars[0], true
 }
 
 // ReplayForensic replays an exemplar recorded by a previous run: opt must
 // match the original run's configuration (rates, geometry, lifetime,
-// scrub); the exemplar's own seed coordinates override opt.Seed.
+// scrub); the exemplar's own seed overrides opt.Seed.
 func ReplayForensic(opt Options, pol Policy, ex Forensic) (Forensic, bool) {
 	opt.Seed = ex.BaseSeed
-	return ReplayTrial(opt, pol, ex.Worker, ex.Trial)
+	return ReplayTrial(opt, pol, ex.Trial)
 }

@@ -3,10 +3,12 @@ package faultsim
 import (
 	"context"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/ecc"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/parity"
@@ -134,9 +136,9 @@ func TestForensicsIncrementalMatchesBatch(t *testing.T) {
 // TestMergeForensics checks Merge's nil preservation and additivity.
 func TestMergeForensics(t *testing.T) {
 	a := Result{Trials: 10, Failures: 1, Breakdown: map[string]int{"bank": 1},
-		Exemplars: []Forensic{{Worker: 0, Trial: 3}}}
+		Exemplars: []Forensic{{Trial: 3}}}
 	b := Result{Trials: 10, Failures: 2, Breakdown: map[string]int{"bank": 1, "row": 1},
-		Exemplars: []Forensic{{Worker: 1, Trial: 5}}}
+		Exemplars: []Forensic{{Trial: 5}}}
 	m := Merge(a, b)
 	if m.Breakdown["bank"] != 2 || m.Breakdown["row"] != 1 {
 		t.Errorf("merged breakdown wrong: %v", m.Breakdown)
@@ -151,8 +153,68 @@ func TestMergeForensics(t *testing.T) {
 	}
 }
 
+// TestAdaptiveMatchesPlainRun: adaptive batches run consecutive trial
+// ranges, so an adaptive run stopped at N trials by its cap equals a
+// plain N-trial run — including the forensic outputs, whose exemplars
+// are the globally first failures either way.
+func TestAdaptiveMatchesPlainRun(t *testing.T) {
+	skipInShort(t)
+	opt := forensicOptions(3000)
+	pol := citadelPolicy()
+	plain := Run(opt, pol)
+	ad := RunAdaptive(AdaptiveOptions{
+		Options:        opt,
+		TargetFailures: 1 << 30, // unreachable: the cap stops the run
+		BatchTrials:    700,     // not a divisor: the last batch is short
+		MaxTrials:      opt.Trials,
+	}, pol)
+	if ad.TargetMet {
+		t.Fatal("unreachable target reported met")
+	}
+	ad.TargetMet = plain.TargetMet
+	if !reflect.DeepEqual(ad, plain) {
+		t.Errorf("adaptive run differs from plain run:\n adaptive %+v\n plain    %+v", ad, plain)
+	}
+}
+
+// countingArrivals counts the lifetimes drawn through it.
+type countingArrivals struct {
+	Arrivals
+	draws int
+}
+
+func (c *countingArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
+	c.draws++
+	return c.Arrivals.AppendLifetime(rng, hours, dst)
+}
+
+// TestReplayDrawsOneLifetime: every trial has its own stream, so replaying
+// an exemplar draws exactly one lifetime however late its trial ran.
+func TestReplayDrawsOneLifetime(t *testing.T) {
+	skipInShort(t)
+	opt := forensicOptions(4000)
+	pol := citadelPolicy()
+	res := Run(opt, pol)
+	if len(res.Exemplars) == 0 {
+		t.Fatal("no exemplars to replay")
+	}
+	ex := res.Exemplars[len(res.Exemplars)-1]
+	if ex.Trial == 0 {
+		t.Fatal("last exemplar is trial 0; replay cost is not exercised")
+	}
+	counter := &countingArrivals{Arrivals: fault.NewSampler(opt.Config, opt.Rates)}
+	opt.NewArrivals = func() Arrivals { return counter }
+	got, ok := ReplayForensic(opt, pol, ex)
+	if !ok || !reflect.DeepEqual(got, ex) {
+		t.Fatalf("trial %d did not replay exactly:\n got %+v\nwant %+v", ex.Trial, got, ex)
+	}
+	if counter.draws != 1 {
+		t.Errorf("replay of trial %d drew %d lifetimes, want 1", ex.Trial, counter.draws)
+	}
+}
+
 // TestAdaptiveForensics: the adaptive driver must carry forensics across
-// batches, with per-batch seeds recorded so exemplars stay replayable.
+// batches, with the run seed recorded so exemplars stay replayable.
 func TestAdaptiveForensics(t *testing.T) {
 	skipInShort(t)
 	opt := AdaptiveOptions{Options: forensicOptions(1000), TargetFailures: 5, MaxTrials: 20000}

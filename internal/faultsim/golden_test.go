@@ -3,7 +3,6 @@ package faultsim
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/ecc"
@@ -11,19 +10,15 @@ import (
 	"repro/internal/stack"
 )
 
-// Golden regression tests: fixed-seed, fixed-worker-count runs whose full
-// Result statistics (failure counts, by-year curve, proximate-cause tally)
-// are pinned to the values produced by the original batch-evaluation
-// engine. The incremental evaluator and the allocation-free trial loop must
-// keep these bit-identical — any drift here means the optimization changed
-// the statistics, not just the speed.
+// Golden regression tests: fixed-seed runs whose full Result statistics
+// (failure counts, by-year curve, proximate-cause tally) are pinned. The
+// incremental evaluator and the allocation-free trial loop must keep these
+// bit-identical — any drift here means an optimization changed the
+// statistics, not just the speed. Every trial draws from its own RNG
+// stream, so the values hold for any worker count and any host.
 //
-// The pinned values were captured from the pre-incremental engine (see
-// DESIGN.md "Incremental correctability evaluation"). Workers is pinned to
-// one because the per-worker RNG streams shape the sampled fault lifetimes;
-// a single worker reproduces on any machine.
-
-const goldenWorkers = 1
+// The values were recorded when the engine moved to per-trial streams;
+// they agree with the batch-evaluation path (TestGoldenResultsBatchPath).
 
 type goldenCase struct {
 	name string
@@ -46,10 +41,10 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP)}
 			},
 			trials: 3000, rateScale: 30, tsvFIT: 0,
-			wantFailures: 2044,
-			wantByYear:   []int{123, 380, 752, 1126, 1485, 1786, 2044},
+			wantFailures: 2005,
+			wantByYear:   []int{94, 387, 747, 1113, 1463, 1747, 2005},
 			wantCauses: map[string]int{
-				"bank": 1518, "bit": 12, "column": 222, "row": 10, "subarray": 282,
+				"bank": 1501, "bit": 13, "column": 176, "row": 11, "subarray": 303, "word": 1,
 			},
 		},
 		{
@@ -63,9 +58,9 @@ func goldenCases() []goldenCase {
 				}
 			},
 			trials: 3000, rateScale: 30, tsvFIT: 1430,
-			wantFailures: 350,
-			wantByYear:   []int{0, 8, 27, 70, 159, 238, 350},
-			wantCauses:   map[string]int{"bank": 267, "column": 26, "subarray": 57},
+			wantFailures: 328,
+			wantByYear:   []int{1, 4, 18, 52, 109, 182, 328},
+			wantCauses:   map[string]int{"bank": 241, "column": 29, "subarray": 58},
 		},
 		{
 			name: "Symbol8-AcrossChannels",
@@ -73,11 +68,11 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewSymbol8(cfg, stack.AcrossChannels)}
 			},
 			trials: 3000, rateScale: 10, tsvFIT: 143,
-			wantFailures: 521,
-			wantByYear:   []int{17, 61, 126, 205, 306, 405, 521},
+			wantFailures: 508,
+			wantByYear:   []int{18, 64, 133, 213, 299, 389, 508},
 			wantCauses: map[string]int{
-				"addr-tsv": 14, "bank": 187, "bit": 154, "column": 14,
-				"data-tsv": 87, "row": 32, "subarray": 17, "word": 16,
+				"addr-tsv": 19, "bank": 187, "bit": 138, "column": 7,
+				"data-tsv": 72, "row": 41, "subarray": 24, "word": 20,
 			},
 		},
 		{
@@ -86,11 +81,11 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewParity(cfg, parity.OneDP)}
 			},
 			trials: 2000, rateScale: 30, tsvFIT: 0,
-			wantFailures: 1814,
-			wantByYear:   []int{324, 765, 1144, 1421, 1596, 1731, 1814},
+			wantFailures: 1803,
+			wantByYear:   []int{272, 748, 1129, 1418, 1590, 1717, 1803},
 			wantCauses: map[string]int{
-				"bank": 1181, "bit": 423, "column": 39, "row": 69,
-				"subarray": 78, "word": 24,
+				"bank": 1168, "bit": 478, "column": 15, "row": 55,
+				"subarray": 60, "word": 27,
 			},
 		},
 		{
@@ -99,10 +94,10 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewBCH6EC7ED(cfg)}
 			},
 			trials: 2000, rateScale: 5, tsvFIT: 0,
-			wantFailures: 1032,
-			wantByYear:   []int{196, 360, 520, 675, 799, 918, 1032},
+			wantFailures: 1081,
+			wantByYear:   []int{208, 397, 554, 710, 834, 967, 1081},
 			wantCauses: map[string]int{
-				"bank": 533, "row": 251, "subarray": 118, "word": 130,
+				"bank": 556, "row": 257, "subarray": 148, "word": 120,
 			},
 		},
 	}
@@ -110,11 +105,7 @@ func goldenCases() []goldenCase {
 
 func runGolden(t *testing.T, gc goldenCase, mutate func(*Options)) Result {
 	t.Helper()
-	if runtime.GOMAXPROCS(0) < goldenWorkers {
-		t.Skipf("needs GOMAXPROCS >= %d for pinned worker streams", goldenWorkers)
-	}
 	opt := testOptions(gc.trials, gc.rateScale, gc.tsvFIT)
-	opt.Workers = goldenWorkers
 	if mutate != nil {
 		mutate(&opt)
 	}

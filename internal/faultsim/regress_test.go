@@ -63,9 +63,11 @@ func TestMergePropagatesErrSymmetrically(t *testing.T) {
 
 func TestDeriveSeedUniqueAcrossStreams(t *testing.T) {
 	// The old scheme derived batch seeds as Seed+batch*1e6 and worker
-	// seeds as Seed+worker*1e9, so (batch=1000, worker=0) collided with
-	// (batch=0, worker=1) — and nearby seeds fed math/rand correlated
-	// streams. Every (batch, worker) pair must map to a distinct seed.
+	// seeds as Seed+worker*1e9, so distinct streams collided exactly —
+	// and nearby seeds fed math/rand correlated streams. Every trial
+	// stream of a run (plain and importance-sampled), every trial stream
+	// of its checkpoint chunks, and every splitting stage must map to a
+	// distinct seed.
 	const base = int64(42)
 	seen := make(map[int64]string)
 	check := func(seed int64, label string) {
@@ -75,16 +77,18 @@ func TestDeriveSeedUniqueAcrossStreams(t *testing.T) {
 		}
 		seen[seed] = label
 	}
-	for worker := uint64(0); worker < 256; worker++ {
-		check(deriveSeed(base, worker), fmt.Sprintf("worker %d", worker))
+	for i := uint64(0); i < 1<<16; i++ {
+		check(deriveSeed(base, i), fmt.Sprintf("trial %d", i))
+		check(deriveSeed(base, rareStreamBase+i), fmt.Sprintf("rare trial %d", i))
 	}
-	for batch := uint64(0); batch < 4096; batch++ {
-		batchSeed := deriveSeed(base, batchStreamBase+batch)
-		check(batchSeed, fmt.Sprintf("batch %d", batch))
-		// A batch seed is itself a base for that batch's worker streams.
-		for worker := uint64(0); worker < 8; worker++ {
-			check(deriveSeed(batchSeed, worker), fmt.Sprintf("batch %d worker %d", batch, worker))
+	for chunk := 0; chunk < 64; chunk++ {
+		chunkSeed := ChunkSeed(base, chunk)
+		for i := uint64(0); i < 1024; i++ {
+			check(deriveSeed(chunkSeed, i), fmt.Sprintf("chunk %d trial %d", chunk, i))
 		}
+	}
+	for stage := 0; stage < 16; stage++ {
+		check(SplitStreamSeed(base, stage), fmt.Sprintf("split stage %d", stage))
 	}
 }
 

@@ -1,55 +1,68 @@
 package faultsim
 
-// RNG stream derivation. Workers and adaptive batches each need their own
-// decorrelated math/rand stream. Deriving them by adding small multiples
-// of the base seed (the scheme this replaced) has two failure modes:
-// distinct (batch, worker) pairs can collide exactly — batch 1000 at
-// step 1e6 equals worker 1 at step 1e9 — and nearby additive seeds feed
-// math/rand's lagged-Fibonacci generator visibly correlated streams. A
+// RNG stream derivation. Every trial draws from its own math/rand stream,
+// keyed by the trial's global index, so a run's result does not depend
+// on how its trials are spread over workers. Deriving streams by adding
+// small multiples of the base seed (the scheme this replaced) has two
+// failure modes: distinct streams can collide exactly, and nearby
+// additive seeds feed the generator visibly correlated streams. A
 // splitmix64-style finalizer instead scatters every (base, stream) pair
 // across the full 64-bit space.
 
-// Stream-index spaces. Worker streams are dense small integers; adaptive
-// batch streams start far above any plausible worker count so the two
-// spaces cannot overlap for the same base seed; checkpoint-chunk streams
-// of durable campaigns (internal/jobs) get a third disjoint space.
+// Stream-index spaces. Trial streams are dense indices from zero;
+// checkpoint-chunk bases of durable campaigns (internal/jobs), the
+// importance-sampling engine's trials and the splitting stages each get
+// a space far above any plausible trial count, so no two overlap for the
+// same base seed.
 const (
-	batchStreamBase uint64 = 1 << 40
 	chunkStreamBase uint64 = 1 << 41
 	rareStreamBase  uint64 = 1 << 42
 	splitStreamBase uint64 = 1 << 43
 )
 
-// deriveSeed maps (base seed, stream index) to an RNG seed using the
-// splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014). Equal inputs
-// give equal outputs, keeping seeded runs reproducible; distinct streams
-// are decorrelated whatever their numeric distance.
-func deriveSeed(base int64, stream uint64) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*(stream+1)
+const splitMixGamma = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+
+// mix64 is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014).
+func mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
+	return z ^ z>>31
+}
+
+// deriveSeed maps (base seed, stream index) to an RNG seed. Equal inputs
+// give equal outputs, keeping seeded runs reproducible; distinct streams
+// are decorrelated whatever their numeric distance.
+func deriveSeed(base int64, stream uint64) int64 {
+	return int64(mix64(uint64(base) + splitMixGamma*(stream+1)))
+}
+
+// trialSource is the RNG behind every trial: a splitmix64 counter stream
+// implementing math/rand's Source64, reseeded per trial by one store.
+// Every draw writes x, so it fills a cache line: two workers' sources
+// sharing one cost ~30 ns a trial in false sharing.
+type trialSource struct {
+	x uint64
+	_ [56]byte
+}
+
+func (s *trialSource) seedTrial(base int64, i uint64) { s.x = uint64(deriveSeed(base, i)) }
+func (s *trialSource) Seed(seed int64)                { s.x = uint64(seed) }
+func (s *trialSource) Int63() int64                   { return int64(s.Uint64() & (1<<63 - 1)) }
+
+func (s *trialSource) Uint64() uint64 {
+	s.x += splitMixGamma
+	return mix64(s.x)
 }
 
 // ChunkSeed derives the base seed of checkpoint chunk i of a durable
 // campaign (internal/jobs). Chunks are independent sub-runs merged with
-// Merge; giving each its own decorrelated stream makes a campaign's
-// result a pure function of (base seed, chunk layout, worker count), so
-// a resumed campaign reproduces an uninterrupted one bit for bit. The
-// chunk space is disjoint from worker and adaptive-batch streams.
+// Merge; giving each its own decorrelated base makes a campaign's result
+// a pure function of (base seed, chunk layout), so a resumed campaign
+// reproduces an uninterrupted one bit for bit.
 func ChunkSeed(base int64, chunk int) int64 {
 	return deriveSeed(base, chunkStreamBase+uint64(chunk))
-}
-
-// RareStreamSeed derives the per-worker RNG seed of the importance
-// sampling engine (internal/rare). The space is disjoint from the plain
-// engine's worker streams so a biased and a naive run sharing a base
-// seed draw decorrelated fault histories.
-func RareStreamSeed(base int64, worker int) int64 {
-	return deriveSeed(base, rareStreamBase+uint64(worker))
 }
 
 // SplitStreamSeed derives the RNG seed of one multilevel-splitting stage

@@ -10,9 +10,9 @@ import (
 
 // Campaign identifies a contiguous range of reliability chunks handed to
 // a ChunkExecutor. Spec is the normalized reliability spec; chunk i runs
-// Spec.ChunkTrials(i) trials on faultsim.ChunkSeed(Spec.Seed, i) with the
-// spec's pinned worker count, so the work is a pure function of (Spec, i)
-// wherever it executes.
+// Spec.ChunkTrials(i) trials on faultsim.ChunkSeed(Spec.Seed, i), so the
+// work is a pure function of (Spec, i) wherever it executes and however
+// many engine workers run it.
 type Campaign struct {
 	// Key is the campaign's content key (Spec.Key of the submitted job).
 	Key string

@@ -8,13 +8,14 @@
 //
 // Determinism model: a reliability campaign of T trials runs as
 // ceil(T/C) chunks of C = CheckpointTrials trials. Chunk i runs on seed
-// faultsim.ChunkSeed(base, i) with the spec's pinned worker count, and
-// the chunk results fold left-to-right through faultsim.Merge. The
-// merged result is therefore a pure function of the normalized spec, so
-// resuming from any checkpoint reproduces the uninterrupted campaign
-// bit for bit, and the normalized spec's SHA-256 addresses the result in
-// the store: a repeated identical request is served from cache with zero
-// new trials.
+// faultsim.ChunkSeed(base, i) — every trial on its own RNG stream, so the
+// engine's worker count does not matter — and the chunk results fold
+// left-to-right through faultsim.Merge. The merged result is therefore a
+// pure function of the normalized spec, so resuming from any checkpoint
+// reproduces the uninterrupted campaign bit for bit, and the SHA-256 of
+// the normalized spec (less its worker count, plus the RNG stream
+// version) addresses the result in the store: a repeated identical
+// request is served from cache with zero new trials.
 package jobs
 
 import (
@@ -382,14 +383,30 @@ func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 	if !ok {
 		return nil
 	}
-	var cp checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil || cp.Key != key || cp.ChunksDone < 0 ||
-		(cp.ChunksDone > 0 && cp.Result == nil) {
-		o.opts.Logf("jobs: corrupted checkpoint %.12s (err=%v); restarting campaign from scratch", key, err)
+	cp, err := decodeCheckpoint(key, data)
+	if err != nil {
+		o.opts.Logf("jobs: unusable checkpoint %.12s (%v); restarting campaign from scratch", key, err)
 		o.st.DeleteJob(key)
 		return nil
 	}
-	return &cp
+	return cp
+}
+
+// decodeCheckpoint parses the checkpoint stored under key. Its recorded
+// key must match the store key and the key its spec hashes to now: one
+// written under another stream version would mix RNG streams on resume.
+func decodeCheckpoint(key string, data []byte) (*checkpoint, error) {
+	var cp checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, err
+	}
+	if cp.Key != key || cp.ChunksDone < 0 || (cp.ChunksDone > 0 && cp.Result == nil) {
+		return nil, errors.New("corrupted checkpoint")
+	}
+	if specKey, err := cp.Spec.Key(); err != nil || specKey != key {
+		return nil, fmt.Errorf("checkpoint spec hashes to key %.12s (err=%v)", specKey, err)
+	}
+	return &cp, nil
 }
 
 // enqueueLocked creates the job record, persists its initial checkpoint
@@ -447,10 +464,9 @@ func (o *Orchestrator) Recover() int {
 	listed := o.st.ListJobs()
 	n := 0
 	for key, data := range listed {
-		var cp checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil || cp.Key != key || cp.ChunksDone < 0 ||
-			(cp.ChunksDone > 0 && cp.Result == nil) {
-			o.opts.Logf("jobs: recover: skipping corrupted checkpoint %.12s (err=%v)", key, err)
+		cp, err := decodeCheckpoint(key, data)
+		if err != nil {
+			o.opts.Logf("jobs: recover: discarding checkpoint %.12s: %v", key, err)
 			o.st.DeleteJob(key)
 			continue
 		}
@@ -466,8 +482,7 @@ func (o *Orchestrator) Recover() int {
 		}
 		// Recovered jobs bypass the queue bound: they were admitted by a
 		// previous process and rejecting them now would drop durable work.
-		cpc := cp
-		o.enqueueLocked(key, cp.Spec.Normalize(), &cpc)
+		o.enqueueLocked(key, cp.Spec.Normalize(), cp)
 		o.mu.Unlock()
 		n++
 	}

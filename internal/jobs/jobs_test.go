@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
@@ -375,6 +376,63 @@ func TestRecoverSkipsCorruptCheckpoints(t *testing.T) {
 	}
 	if _, ok := st.GetJob("cafebabe"); ok {
 		t.Error("key-mismatched checkpoint not deleted")
+	}
+}
+
+// TestRecoverDiscardsStaleCheckpoint: a checkpoint whose stored key is
+// not the key its spec hashes to now — one written under an older RNG
+// stream layout, say — is discarded rather than resumed, since resuming
+// would mix two stream layouts in one result. The same checkpoint under
+// its current key recovers.
+func TestRecoverDiscardsStaleCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Logf: nolog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec(11).Normalize()
+	current, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := store.Key(spec) // the spec hashed without its stream version
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{current, stale} {
+		chunk, err := RunChunk(context.Background(), spec.Reliability, 0, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(checkpoint{
+			Version: checkpointVersion, Key: key, Spec: spec,
+			ChunksDone: 1, TotalChunks: 4, Result: &chunk,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutJob(key, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := New(Options{Store: st, Workers: 1, QueueDepth: 4, Logf: nolog})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		o.Close(ctx)
+	})
+	if n := o.Recover(); n != 1 {
+		t.Fatalf("Recover = %d, want 1 (only the current-key checkpoint)", n)
+	}
+	if _, ok := st.GetJob(stale); ok {
+		t.Error("stale-key checkpoint not deleted")
+	}
+	list := o.List()
+	if len(list) != 1 || list[0].Key != current || !list[0].Resumed {
+		t.Fatalf("recovered jobs = %+v, want one resumed job under the current key", list)
+	}
+	if fin := waitDone(t, o, list[0].ID); fin.State != StateDone {
+		t.Fatalf("recovered job: %s (%s)", fin.State, fin.Error)
 	}
 }
 

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"fmt"
-	"runtime"
 
 	citadel "repro"
 	"repro/internal/experiments"
@@ -51,9 +50,9 @@ type ReliabilitySpec struct {
 	LifetimeYears float64 `json:"lifetimeYears"`
 	ScrubHours    float64 `json:"scrubHours"`
 	Seed          int64   `json:"seed"`
-	// Workers bounds the engine's parallelism. The effective worker
-	// count shapes the per-worker RNG streams (DESIGN.md reproducibility
-	// contract), so it is normalized and part of the content key.
+	// Workers bounds the engine's parallelism (0 selects GOMAXPROCS).
+	// Every trial draws from its own RNG stream, so the worker count
+	// cannot change the result and is left out of the content key.
 	Workers int `json:"workers"`
 	// CheckpointTrials is the chunk size (default
 	// DefaultCheckpointTrials, clamped to Trials). Part of the content
@@ -118,11 +117,6 @@ func (s Spec) Normalize() Spec {
 		if r.ScrubHours == 0 {
 			r.ScrubHours = 12
 		}
-		// The effective worker count shapes the result (per-worker RNG
-		// streams), so normalize it exactly the way the engine clamps it.
-		if max := runtime.GOMAXPROCS(0); r.Workers <= 0 || r.Workers > max {
-			r.Workers = max
-		}
 		if r.CheckpointTrials <= 0 {
 			r.CheckpointTrials = DefaultCheckpointTrials
 		}
@@ -174,14 +168,29 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
+// streamVersion names the engine's RNG stream layout. Key hashes it, so
+// results and checkpoints stored under an older layout are orphaned
+// instead of served; bump it whenever seeded results change.
+const streamVersion = 2
+
 // Key returns the canonical content address of the campaign: the
-// SHA-256 of the normalized spec with priority stripped. Two specs that
-// describe the same deterministic computation — whether their fields are
-// explicit or defaulted — share a key and therefore a cached result.
+// SHA-256 of the stream version and the normalized spec with priority
+// and worker count stripped. Two specs that describe the same
+// deterministic computation — whether their fields are explicit or
+// defaulted, and whatever their parallelism — share a key and therefore
+// a cached result.
 func (s Spec) Key() (string, error) {
 	n := s.Normalize()
 	n.Priority = 0
-	return store.Key(n)
+	if n.Reliability != nil {
+		r := *n.Reliability
+		r.Workers = 0
+		n.Reliability = &r
+	}
+	return store.Key(struct {
+		Streams int  `json:"streams"`
+		Spec    Spec `json:"spec"`
+	}{streamVersion, n})
 }
 
 // validScheme reports whether name resolves in the scenario registry —

@@ -30,10 +30,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
@@ -45,10 +41,6 @@ import (
 // empirically this lands within a factor of a few of the
 // variance-optimal bias across the paper's configurations.
 const DefaultBiasFactor = 16
-
-// cancelCheckInterval matches the plain engine: workers poll ctx every
-// this many trials.
-const cancelCheckInterval = 256
 
 // Options configures an importance-sampled run. The embedded
 // faultsim.Options keep their meaning; Rates are the *physical* rates —
@@ -62,7 +54,8 @@ type Options struct {
 }
 
 // withDefaults mirrors faultsim's effective defaults (trials, lifetime,
-// scrub interval, worker clamp) and fills the bias factor.
+// scrub interval) and fills the bias factor; the trial driver clamps the
+// worker count.
 func (o Options) withDefaults() Options {
 	if o.LifetimeHours == 0 {
 		o.LifetimeHours = fault.LifetimeHours
@@ -72,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Trials == 0 {
 		o.Trials = 100000
-	}
-	if max := runtime.GOMAXPROCS(0); o.Workers <= 0 || o.Workers > max {
-		o.Workers = max
 	}
 	if o.BiasFactor == 0 {
 		o.BiasFactor = DefaultBiasFactor
@@ -90,18 +80,6 @@ func policyName(pol faultsim.Policy) string {
 	return pol.Predicate.Name()
 }
 
-// isPartial is one worker's tallies. Workers never share accumulators;
-// the fold happens once, in worker order, so the float sums are a pure
-// function of (seed, trial layout, worker count) — the determinism
-// contract checkpointed campaigns rely on.
-type isPartial struct {
-	done, failures int
-	failW, failWSq float64
-	byYear         []int
-	wByYear        []float64
-	causes         map[string]int
-}
-
 // RunIS estimates failure probability with importance sampling; it
 // cannot be interrupted (see RunISContext).
 func RunIS(opt Options, pol faultsim.Policy) faultsim.Result {
@@ -115,10 +93,11 @@ func RunIS(opt Options, pol faultsim.Policy) faultsim.Result {
 // mirrors the plain engine: completed trials are kept and the Result is
 // marked Partial.
 //
-// Per-worker RNG streams come from faultsim.RareStreamSeed, a seed space
-// disjoint from the plain engine's, so an IS run and a naive run sharing
-// a base seed are statistically independent. As with the plain engine,
-// seeded results are reproducible only for equal worker counts.
+// Trial streams come from a space disjoint from the plain engine's, so an
+// IS run and a naive run sharing a seed are independent. The weight
+// exp(delta − n·lnB) takes one value per large-fault count n, so workers
+// tally integer counts by n and the weighted sums are formed after the
+// join, in increasing n: the result does not depend on the worker count.
 func RunISContext(ctx context.Context, opt Options, pol faultsim.Policy) faultsim.Result {
 	opt = opt.withDefaults()
 	years := int(math.Ceil(opt.LifetimeHours / fault.HoursPerYear))
@@ -130,148 +109,95 @@ func RunISContext(ctx context.Context, opt Options, pol faultsim.Policy) faultsi
 		CauseCounts:      make(map[string]int),
 	}
 	biased := opt.Rates.BiasLarge(opt.BiasFactor)
+	mRareRunsActive.Inc()
+	defer mRareRunsActive.Dec()
+	var byBig [][]int
+	loop := faultsim.TrialLoop{Policy: policyName(pol), Rare: true, Trials: mRareTrials, Failures: mRareFailures}
+	res.Trials, res.Failures, res.Err = faultsim.RunTrials(ctx, opt.Options, loop, func(int) faultsim.TrialWorker {
+		return &isWorker{
+			opt:     &opt,
+			years:   years,
+			sampler: fault.NewSampler(opt.Config, biased),
+			runner:  faultsim.NewTrialRunner(opt.Config, pol, opt.ScrubIntervalHours),
+			causes:  make(map[string]int),
+			total:   &byBig,
+			res:     &res,
+		}
+	})
+	res.Partial = res.Err != nil
 	// Likelihood-ratio constants: log w = delta − n·lnB per trial.
 	delta := (opt.BiasFactor - 1) * opt.Rates.LargeLambda(opt.Config, opt.LifetimeHours)
 	lnB := math.Log(opt.BiasFactor)
-
-	mRareRunsActive.Inc()
-	defer mRareRunsActive.Dec()
-	var progTrials, progFailures, progScrubs atomic.Int64
-	start := time.Now()
-	snapshot := func(done bool) faultsim.Progress {
-		return faultsim.Progress{
-			Policy:       policyName(pol),
-			RunID:        opt.RunID,
-			TrialsDone:   int(progTrials.Load()),
-			TrialsTarget: opt.Trials,
-			Failures:     int(progFailures.Load()),
-			ScrubPasses:  progScrubs.Load(),
-			Elapsed:      time.Since(start),
-			Done:         done,
+	for n, cum := range byBig {
+		w := math.Exp(delta - float64(n)*lnB)
+		k := float64(cum[years-1])
+		res.FailWeight += k * w
+		res.FailWeightSq += k * w * w
+		for y, c := range cum {
+			res.FailuresByYear[y] += c
+			res.FailWeightByYear[y] += float64(c) * w
 		}
-	}
-	stopProg := make(chan struct{})
-	progDone := make(chan struct{})
-	if opt.Progress != nil {
-		interval := opt.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			defer close(progDone)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-tick.C:
-					opt.Progress(snapshot(false))
-				}
-			}
-		}()
-	} else {
-		close(progDone)
-	}
-
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	parts := make([]*isPartial, 0, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
-		}
-		if lo >= hi {
-			break
-		}
-		p := &isPartial{
-			byYear:  make([]int, years),
-			wByYear: make([]float64, years),
-			causes:  make(map[string]int),
-		}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(worker, n int, p *isPartial) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(faultsim.RareStreamSeed(opt.Seed, worker)))
-			sampler := fault.NewSampler(opt.Config, biased)
-			runner := faultsim.NewTrialRunner(opt.Config, pol, opt.ScrubIntervalHours)
-			var buf []fault.Fault
-			var flushedDone, flushedFailures, flushedScrubs int64
-			flush := func() {
-				progTrials.Add(int64(p.done) - flushedDone)
-				progFailures.Add(int64(p.failures) - flushedFailures)
-				progScrubs.Add(runner.Scrubs() - flushedScrubs)
-				mRareTrials.Add(int64(p.done) - flushedDone)
-				mRareFailures.Add(int64(p.failures) - flushedFailures)
-				flushedDone, flushedFailures, flushedScrubs = int64(p.done), int64(p.failures), runner.Scrubs()
-			}
-			defer flush()
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 {
-					flush()
-					if ctx.Err() != nil {
-						break
-					}
-				}
-				p.done++
-				buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
-				if len(buf) == 0 {
-					continue
-				}
-				when, cause := runner.Run(buf)
-				if when < 0 {
-					continue
-				}
-				nBig := 0
-				for _, f := range buf {
-					if f.Class.LargeGranularity() {
-						nBig++
-					}
-				}
-				lw := math.Exp(delta - float64(nBig)*lnB)
-				p.failures++
-				p.failW += lw
-				p.failWSq += lw * lw
-				p.causes[cause.String()]++
-				y := int(when / fault.HoursPerYear)
-				if y >= years {
-					y = years - 1
-				}
-				for i := y; i < years; i++ {
-					p.byYear[i]++
-					p.wByYear[i] += lw
-				}
-			}
-		}(w, hi-lo, p)
-	}
-	wg.Wait()
-	close(stopProg)
-	<-progDone
-	// Fold partials in worker order: float accumulation must follow a
-	// fixed order to stay bit-identical across runs (the plain engine's
-	// any-order merge is fine only because its tallies are integers).
-	for _, p := range parts {
-		res.Trials += p.done
-		res.Failures += p.failures
-		res.FailWeight += p.failW
-		res.FailWeightSq += p.failWSq
-		for i := range p.byYear {
-			res.FailuresByYear[i] += p.byYear[i]
-			res.FailWeightByYear[i] += p.wByYear[i]
-		}
-		for k, v := range p.causes {
-			res.CauseCounts[k] += v
-		}
-	}
-	if err := ctx.Err(); err != nil && res.Trials < opt.Trials {
-		res.Partial = true
-		res.Err = err
-	}
-	if opt.Progress != nil {
-		opt.Progress(snapshot(true))
 	}
 	return res
+}
+
+// isWorker is RunISContext's TrialWorker.
+type isWorker struct {
+	opt     *Options
+	years   int
+	sampler *fault.Sampler
+	runner  *faultsim.TrialRunner
+	buf     []fault.Fault
+	// byBig[n][y] counts failing trials with n large-granularity faults
+	// that failed within the first y+1 years (cumulative).
+	byBig  [][]int
+	causes map[string]int
+	total  *[][]int
+	res    *faultsim.Result
+}
+
+func (w *isWorker) Trial(rng *rand.Rand, _ int) bool {
+	w.buf = w.sampler.AppendLifetime(rng, w.opt.LifetimeHours, w.buf[:0])
+	if len(w.buf) == 0 {
+		return false
+	}
+	when, cause := w.runner.Run(w.buf)
+	if when < 0 {
+		return false
+	}
+	nBig := 0
+	for _, f := range w.buf {
+		if f.Class.LargeGranularity() {
+			nBig++
+		}
+	}
+	w.byBig = growCounts(w.byBig, nBig, w.years)
+	w.causes[cause.String()]++
+	for y := min(int(when/fault.HoursPerYear), w.years-1); y < w.years; y++ {
+		w.byBig[nBig][y]++
+	}
+	return true
+}
+
+func (w *isWorker) Scrubs() int64 { return w.runner.Scrubs() }
+
+func (w *isWorker) Fold() {
+	for n, cum := range w.byBig {
+		*w.total = growCounts(*w.total, n, w.years)
+		for y, c := range cum {
+			(*w.total)[n][y] += c
+		}
+	}
+	for k, v := range w.causes {
+		w.res.CauseCounts[k] += v
+	}
+}
+
+// growCounts extends counts with zeroed rows of length years until row n
+// exists.
+func growCounts(counts [][]int, n, years int) [][]int {
+	for len(counts) <= n {
+		counts = append(counts, make([]int, years))
+	}
+	return counts
 }

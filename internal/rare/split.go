@@ -105,6 +105,10 @@ func (r SplitResult) String() string {
 	return s
 }
 
+// cancelCheckInterval matches the plain engine: the splitting loop polls
+// ctx every this many trials.
+const cancelCheckInterval = 256
+
 // withDefaults mirrors the IS defaults and fills Levels.
 func (o SplitOptions) withDefaults() SplitOptions {
 	if o.LifetimeHours == 0 {

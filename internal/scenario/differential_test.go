@@ -192,7 +192,7 @@ func TestRowhammerEndToEnd(t *testing.T) {
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("rowhammer run not deterministic for fixed (seed, workers)")
+		t.Fatal("rowhammer run not deterministic for a fixed seed")
 	}
 	if a.Trials != 500 || a.Partial || a.Err != nil {
 		t.Fatalf("unexpected result shape: %+v", a)

@@ -30,10 +30,10 @@ import (
 // Poisson baseline (baselinePoisson=1) layers the standard FIT-rate
 // process underneath, so rowhammer damage composes with ambient faults.
 //
-// All randomness comes from the per-worker rng the engine hands to
-// AppendLifetime, so results stay a pure function of (seed, workers,
-// chunk layout). Episode counters flush into Result.ScenarioStats via
-// the ArrivalStats interface.
+// All randomness comes from the per-trial rng the engine hands to
+// AppendLifetime, so results stay a pure function of (seed, chunk
+// layout). Episode counters are integer counts and flush into
+// Result.ScenarioStats via the ArrivalStats interface.
 
 const rowhammerModelName = "rowhammer"
 

@@ -83,7 +83,8 @@ type FaultModel struct {
 	Params []ParamDoc
 	// Build returns a factory the engine calls once per worker goroutine;
 	// each returned source may keep unsynchronized per-worker state but
-	// must draw all randomness from the rng handed to AppendLifetime.
+	// must draw all randomness from the rng handed to AppendLifetime, and
+	// integer counters only into ArrivalStats.
 	Build func(cfg stack.Config, rates fault.Rates, p Params) (func() faultsim.Arrivals, error)
 }
 

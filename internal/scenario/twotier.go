@@ -20,11 +20,12 @@ import (
 //
 // Repair is not free: every corrected fault arrival that touches the fast
 // tier triggers replica fetches for the rows its footprint covers. The
-// fetch traffic and its latency/bandwidth cost are surfaced through
-// Result.ScenarioStats (tierFetchEvents/Rows/Bytes/Seconds), priced by
-// the fetchLatencyMicros and fetchBandwidthGBps parameters. Faults on the
-// metadata (ECC) dies are assumed covered by the mirrored directory and
-// are neither fatal nor counted.
+// fetch traffic is surfaced through Result.ScenarioStats
+// (tierFetchEvents/Rows/Bytes), all integer counts so they sum exactly
+// across workers. Its time cost follows from the fetchLatencyMicros and
+// fetchBandwidthGBps parameters as events·latency + bytes/bandwidth (see
+// README). Faults on the metadata (ECC) dies are assumed covered by the
+// mirrored directory and are neither fatal nor counted.
 
 const (
 	defaultFetchLatencyMicros = 0.8
@@ -35,12 +36,12 @@ const (
 func init() {
 	RegisterScheme(Scheme{
 		Name:        twoTierSchemeName,
-		Description: "fast tier mirrored onto a slow backing tier; repair fetches the replica, costed in ScenarioStats",
+		Description: "fast tier mirrored onto a slow backing tier; repair fetches the replica, counted in ScenarioStats",
 		Params: []ParamDoc{
 			{Name: "fetchLatencyMicros", Default: defaultFetchLatencyMicros,
-				Doc: "per-fetch-event latency of a backing-tier replica fetch, in microseconds"},
+				Doc: "per-fetch-event latency of a backing-tier replica fetch, in microseconds (prices tierFetchEvents)"},
 			{Name: "fetchBandwidthGBps", Default: defaultFetchBandwidthGBps,
-				Doc: "backing-tier fetch bandwidth, in GB/s, pricing the re-replication traffic"},
+				Doc: "backing-tier fetch bandwidth, in GB/s (prices tierFetchBytes)"},
 		},
 		Build: func(cfg stack.Config, p Params) (faultsim.Policy, error) {
 			if cfg.DataDies < 2 || cfg.DataDies%2 != 0 {
@@ -59,7 +60,7 @@ func init() {
 				Name:      twoTierSchemeName,
 				Predicate: &twoTierPredicate{half: half},
 				NewObserver: func(c stack.Config) faultsim.Observer {
-					return &twoTierObserver{cfg: c, half: half, latencySec: lat * 1e-6, bwBytesPerSec: bw * 1e9}
+					return &twoTierObserver{cfg: c, half: half}
 				},
 			}, nil
 		},
@@ -110,13 +111,11 @@ func (p *twoTierPredicate) pairKills(f, g *fault.Region) bool {
 // touching the fast tier fetches its footprint's rows from the backing
 // tier. Counters are flushed into Result.ScenarioStats per worker.
 type twoTierObserver struct {
-	cfg           stack.Config
-	half          int
-	latencySec    float64
-	bwBytesPerSec float64
+	cfg  stack.Config
+	half int
 
-	fetchEvents float64
-	fetchRows   float64
+	fetchEvents int
+	fetchRows   int
 }
 
 func (o *twoTierObserver) Arrival(f fault.Fault, uncorrectable bool) {
@@ -133,16 +132,14 @@ func (o *twoTierObserver) Arrival(f fault.Fault, uncorrectable bool) {
 	if !fast {
 		return // backing-tier or metadata fault: no fetch needed
 	}
-	rows := float64(f.Region.Row.CountBelow(uint32(o.cfg.RowsPerBank)))
-	banks := float64(f.Region.Bank.CountBelow(uint32(o.cfg.BanksPerDie)))
+	rows := f.Region.Row.CountBelow(uint32(o.cfg.RowsPerBank))
+	banks := f.Region.Bank.CountBelow(uint32(o.cfg.BanksPerDie))
 	o.fetchEvents++
 	o.fetchRows += rows * banks
 }
 
 func (o *twoTierObserver) FlushStats(dst map[string]float64) {
-	bytes := o.fetchRows * float64(o.cfg.RowBytes)
-	dst["tierFetchEvents"] += o.fetchEvents
-	dst["tierFetchRows"] += o.fetchRows
-	dst["tierFetchBytes"] += bytes
-	dst["tierFetchSeconds"] += o.fetchEvents*o.latencySec + bytes/o.bwBytesPerSec
+	dst["tierFetchEvents"] += float64(o.fetchEvents)
+	dst["tierFetchRows"] += float64(o.fetchRows)
+	dst["tierFetchBytes"] += float64(o.fetchRows * o.cfg.RowBytes)
 }
