@@ -107,6 +107,12 @@ func (st *State) Add(r fault.Region) bool {
 	}
 	idx := len(st.live) - 1
 	st.componentOf(idx)
+	if len(st.comp) == 1 && st.an.selfRecoverable(&st.live[idx]) {
+		// A lone region that one dimension sees in a single exact unit
+		// blocks nothing of itself there, so peel would clear it.
+		st.inComp[idx] = false
+		return false
+	}
 	if st.peel(st.comp) {
 		st.bad = true
 	}
@@ -114,6 +120,31 @@ func (st *State) Add(r fault.Region) bool {
 		st.inComp[c] = false
 	}
 	return st.bad
+}
+
+// selfRecoverable reports whether some enabled dimension sees r in exactly
+// one unit whose coordinates are both exact patterns. Then the split of r
+// against its own unit is empty (every not-equal piece conflicts with the
+// exact mask), so r alone has no blocked cell in that dimension.
+func (an *Analyzer) selfRecoverable(r *regionInfo) bool {
+	exact := func(p fault.Pattern) bool { return p.Mask == ^uint32(0) }
+	for _, d := range an.dimList {
+		switch d {
+		case Dim1:
+			if r.u1 == 1 && exact(r.r.Die) && exact(r.r.Bank) {
+				return true
+			}
+		case Dim2:
+			if r.u2 == 1 && exact(r.r.Bank) && exact(r.r.Row) {
+				return true
+			}
+		case Dim3:
+			if r.u3 == 1 && exact(r.r.Die) && exact(r.r.Row) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Remove deletes one region equal to r (the engine removes faults it has
