@@ -17,8 +17,11 @@ import (
 // statistics, not just the speed. Every trial draws from its own RNG
 // stream, so the values hold for any worker count and any host.
 //
-// The values were recorded when the engine moved to per-trial streams;
+// The values were recorded when the fault sampler moved to superposed
+// arrivals (one Poisson count per window, one stream label per event);
 // they agree with the batch-evaluation path (TestGoldenResultsBatchPath).
+// A change of the sampler's draw order moves them; its law must not, so
+// re-record only after the distribution tests in internal/fault pass.
 
 type goldenCase struct {
 	name string
@@ -41,10 +44,10 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP)}
 			},
 			trials: 3000, rateScale: 30, tsvFIT: 0,
-			wantFailures: 2005,
-			wantByYear:   []int{94, 387, 747, 1113, 1463, 1747, 2005},
+			wantFailures: 2058,
+			wantByYear:   []int{111, 384, 751, 1120, 1466, 1771, 2058},
 			wantCauses: map[string]int{
-				"bank": 1501, "bit": 13, "column": 176, "row": 11, "subarray": 303, "word": 1,
+				"bank": 1551, "bit": 12, "column": 207, "row": 8, "subarray": 280,
 			},
 		},
 		{
@@ -58,9 +61,9 @@ func goldenCases() []goldenCase {
 				}
 			},
 			trials: 3000, rateScale: 30, tsvFIT: 1430,
-			wantFailures: 328,
-			wantByYear:   []int{1, 4, 18, 52, 109, 182, 328},
-			wantCauses:   map[string]int{"bank": 241, "column": 29, "subarray": 58},
+			wantFailures: 345,
+			wantByYear:   []int{1, 6, 23, 63, 126, 227, 345},
+			wantCauses:   map[string]int{"bank": 242, "column": 44, "subarray": 59},
 		},
 		{
 			name: "Symbol8-AcrossChannels",
@@ -68,11 +71,11 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewSymbol8(cfg, stack.AcrossChannels)}
 			},
 			trials: 3000, rateScale: 10, tsvFIT: 143,
-			wantFailures: 508,
-			wantByYear:   []int{18, 64, 133, 213, 299, 389, 508},
+			wantFailures: 516,
+			wantByYear:   []int{15, 64, 124, 217, 306, 410, 516},
 			wantCauses: map[string]int{
-				"addr-tsv": 19, "bank": 187, "bit": 138, "column": 7,
-				"data-tsv": 72, "row": 41, "subarray": 24, "word": 20,
+				"addr-tsv": 19, "bank": 196, "bit": 137, "column": 6,
+				"data-tsv": 90, "row": 34, "subarray": 23, "word": 11,
 			},
 		},
 		{
@@ -82,10 +85,10 @@ func goldenCases() []goldenCase {
 			},
 			trials: 2000, rateScale: 30, tsvFIT: 0,
 			wantFailures: 1803,
-			wantByYear:   []int{272, 748, 1129, 1418, 1590, 1717, 1803},
+			wantByYear:   []int{264, 741, 1136, 1395, 1569, 1696, 1803},
 			wantCauses: map[string]int{
-				"bank": 1168, "bit": 478, "column": 15, "row": 55,
-				"subarray": 60, "word": 27,
+				"bank": 1142, "bit": 465, "column": 29, "row": 75,
+				"subarray": 69, "word": 23,
 			},
 		},
 		{
@@ -94,10 +97,10 @@ func goldenCases() []goldenCase {
 				return Policy{Predicate: ecc.NewBCH6EC7ED(cfg)}
 			},
 			trials: 2000, rateScale: 5, tsvFIT: 0,
-			wantFailures: 1081,
-			wantByYear:   []int{208, 397, 554, 710, 834, 967, 1081},
+			wantFailures: 1052,
+			wantByYear:   []int{219, 399, 571, 698, 830, 936, 1052},
 			wantCauses: map[string]int{
-				"bank": 556, "row": 257, "subarray": 148, "word": 120,
+				"bank": 552, "row": 263, "subarray": 152, "word": 85,
 			},
 		},
 	}

@@ -168,10 +168,13 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
-// streamVersion names the engine's RNG stream layout. Key hashes it, so
-// results and checkpoints stored under an older layout are orphaned
-// instead of served; bump it whenever seeded results change.
-const streamVersion = 2
+// streamVersion names the engine's RNG stream layout: how trial streams
+// are derived and the order in which the fault sampler consumes them.
+// Key hashes it, so results and checkpoints stored under an older layout
+// are orphaned instead of served; bump it whenever seeded results
+// change. Version 3 is the superposed sampler: one Poisson count per
+// window, then a stream label per event.
+const streamVersion = 3
 
 // Key returns the canonical content address of the campaign: the
 // SHA-256 of the stream version and the normalized spec with priority
@@ -179,7 +182,10 @@ const streamVersion = 2
 // deterministic computation — whether their fields are explicit or
 // defaulted, and whatever their parallelism — share a key and therefore
 // a cached result.
-func (s Spec) Key() (string, error) {
+func (s Spec) Key() (string, error) { return s.keyAt(streamVersion) }
+
+// keyAt is Key under the given stream version.
+func (s Spec) keyAt(version int) (string, error) {
 	n := s.Normalize()
 	n.Priority = 0
 	if n.Reliability != nil {
@@ -190,7 +196,7 @@ func (s Spec) Key() (string, error) {
 	return store.Key(struct {
 		Streams int  `json:"streams"`
 		Spec    Spec `json:"spec"`
-	}{streamVersion, n})
+	}{version, n})
 }
 
 // validScheme reports whether name resolves in the scenario registry —
