@@ -61,9 +61,16 @@ func BenchmarkTrialStateRun(b *testing.B) {
 }
 
 // BenchmarkParityStateAdd measures the incremental parity evaluator's Add
-// over a rolling window of live faults.
-func BenchmarkParityStateAdd(b *testing.B) {
-	opt := testOptions(0, 40, 0).withDefaults()
+// over a rolling window of live faults, at 40x Table-I rates where most
+// faults join a multi-fault interference component.
+func BenchmarkParityStateAdd(b *testing.B) { benchParityStateAdd(b, 40) }
+
+// BenchmarkParityStateAddTable1 is the same loop at Table-I rates, where
+// most faults are alone in their component and Add skips the peel.
+func BenchmarkParityStateAddTable1(b *testing.B) { benchParityStateAdd(b, 1) }
+
+func benchParityStateAdd(b *testing.B, rateScale float64) {
+	opt := testOptions(0, rateScale, 0).withDefaults()
 	seqs := trialSequences(opt, 64)
 	an := parity.NewAnalyzer(opt.Config, parity.ThreeDP)
 	st := an.NewState()

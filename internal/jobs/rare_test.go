@@ -2,12 +2,9 @@ package jobs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultsim"
 )
@@ -141,12 +138,7 @@ func TestRareCampaignProducesWeightedResult(t *testing.T) {
 // weighted statistics bit for bit — float sums fold left-to-right over
 // chunks, so any reordering or double-merge shows up as a byte diff.
 func TestRareCrashResumeDifferential(t *testing.T) {
-	// The biased 1DP engine clears rareSpec's 8000 trials in ~100ms —
-	// too fast to interrupt reliably — so this test runs a longer
-	// campaign in coarser chunks.
 	spec := rareSpec(42)
-	spec.Reliability.Trials = 80000
-	spec.Reliability.CheckpointTrials = 2000
 
 	// Reference: uninterrupted run.
 	oA, _ := newOrch(t, t.TempDir(), 1, 4)
@@ -166,44 +158,9 @@ func TestRareCrashResumeDifferential(t *testing.T) {
 		t.Fatalf("reference run carries no weighted signal: %+v", ref)
 	}
 
-	// Interrupted run: kill the orchestrator once a few chunks are
-	// checkpointed. The poll below must run alongside the campaign: with
-	// a single P the CPU-bound campaign can finish before the poller is
-	// scheduled again, so the test lends it a second one.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	dirB := t.TempDir()
-	oB, stB := newOrch(t, dirB, 1, 4)
-	jB, err := oB.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		s, ok := oB.Status(jB.ID)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if s.State.Terminal() {
-			t.Fatalf("campaign finished (%s) before it could be interrupted; raise Trials", s.State)
-		}
-		if s.ChunksDone >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint progress within deadline")
-		}
-		runtime.Gosched()
-	}
-	closeCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := oB.Close(closeCtx); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, ok := stB.GetJob(jB.Key); !ok {
-		t.Fatal("no checkpoint persisted for the interrupted campaign")
-	}
+	// Interrupted run: the orchestrator is closed while its campaign
+	// blocks after the third committed chunk.
+	dirB, _ := interruptAfterChunks(t, spec, 3)
 
 	// Fresh orchestrator, same store: resume and compare byte-for-byte.
 	oB2, _ := newOrch(t, dirB, 1, 4)
