@@ -27,11 +27,12 @@ import "repro/internal/fault"
 //
 // Consequently, when the tracked set is correctable (the only state a
 // running trial can be in while it is still alive), Add(r) needs to peel
-// only the interference component of r, and Remove(r) needs no
-// re-evaluation at all. The escape hatches (Remove from an uncorrectable
-// set) fall back to a full peel that reuses the same scratch buffers, so
-// the steady-state loop performs no heap allocation once the buffers have
-// grown to working size.
+// only the interference component of r — and nothing at all when r is
+// privately recoverable in one dimension (State.private) — and Remove(r)
+// needs no re-evaluation at all. The escape hatches (Remove from an
+// uncorrectable set) fall back to a full peel that reuses the same scratch
+// buffers, so the steady-state loop performs no heap allocation once the
+// buffers have grown to working size.
 //
 // The peeling core here is an independent re-implementation: the batch
 // Analyzer.Uncorrectable is deliberately left untouched so it can serve as
@@ -98,21 +99,19 @@ func (st *State) info(r fault.Region) regionInfo {
 }
 
 // Add inserts r and returns the updated verdict. When the set was already
-// uncorrectable no evaluation happens (monotonicity); otherwise only the
-// interference component of r is peeled.
+// uncorrectable no evaluation happens (monotonicity); when r passes the
+// private-projection rule (private) it is correctable outright; otherwise
+// only the interference component of r is peeled.
 func (st *State) Add(r fault.Region) bool {
 	st.live = append(st.live, st.info(r))
 	if st.bad {
 		return true
 	}
 	idx := len(st.live) - 1
-	st.componentOf(idx)
-	if len(st.comp) == 1 && st.an.selfRecoverable(&st.live[idx]) {
-		// A lone region that one dimension sees in a single exact unit
-		// blocks nothing of itself there, so peel would clear it.
-		st.inComp[idx] = false
+	if st.private(idx) {
 		return false
 	}
+	st.componentOf(idx)
 	if st.peel(st.comp) {
 		st.bad = true
 	}
@@ -122,26 +121,41 @@ func (st *State) Add(r fault.Region) bool {
 	return st.bad
 }
 
-// selfRecoverable reports whether some enabled dimension sees r in exactly
-// one unit whose coordinates are both exact patterns. Then the split of r
-// against its own unit is empty (every not-equal piece conflicts with the
-// exact mask), so r alone has no blocked cell in that dimension.
-func (an *Analyzer) selfRecoverable(r *regionInfo) bool {
+// private is the private-projection rule for the newest region a =
+// live[idx]: some enabled dimension d sees a in exactly one unit whose
+// coordinates are both exact patterns, and no other live region of a's
+// stack shares a d-group coordinate with a. The split of a against its
+// own unit is then empty (every not-equal piece conflicts with the exact
+// mask) and every other region's d-pieces against a are empty, so no cell
+// of a is blocked in d under any live set: a peels first, and what is
+// left is the previous live set, which was correctable.
+func (st *State) private(idx int) bool {
+	a := &st.live[idx]
 	exact := func(p fault.Pattern) bool { return p.Mask == ^uint32(0) }
-	for _, d := range an.dimList {
+	for _, d := range st.an.dimList {
+		var unit bool
 		switch d {
 		case Dim1:
-			if r.u1 == 1 && exact(r.r.Die) && exact(r.r.Bank) {
-				return true
-			}
+			unit = a.u1 == 1 && exact(a.r.Die) && exact(a.r.Bank)
 		case Dim2:
-			if r.u2 == 1 && exact(r.r.Bank) && exact(r.r.Row) {
-				return true
-			}
+			unit = a.u2 == 1 && exact(a.r.Bank) && exact(a.r.Row)
 		case Dim3:
-			if r.u3 == 1 && exact(r.r.Die) && exact(r.r.Row) {
-				return true
-			}
+			unit = a.u3 == 1 && exact(a.r.Die) && exact(a.r.Row)
+		}
+		if unit && !st.sharedIn(d, idx) {
+			return true
+		}
+	}
+	return false
+}
+
+// sharedIn reports whether a live region other than live[idx], in its
+// stack, shares a dimension-d group coordinate with it.
+func (st *State) sharedIn(d Dim, idx int) bool {
+	a := st.live[idx].r
+	for j := range st.live {
+		if j != idx && st.live[j].r.Stack == a.Stack && sharesGroup(d, a, st.live[j].r) {
+			return true
 		}
 	}
 	return false
@@ -183,20 +197,24 @@ func (st *State) interferes(a, b fault.Region) bool {
 		return false
 	}
 	for _, d := range st.an.dimList {
-		switch d {
-		case Dim1:
-			if a.Row.Intersects(b.Row) && a.Col.Intersects(b.Col) {
-				return true
-			}
-		case Dim2:
-			if a.Die.Intersects(b.Die) && a.Col.Intersects(b.Col) {
-				return true
-			}
-		case Dim3:
-			if a.Bank.Intersects(b.Bank) && a.Col.Intersects(b.Col) {
-				return true
-			}
+		if sharesGroup(d, a, b) {
+			return true
 		}
+	}
+	return false
+}
+
+// sharesGroup reports whether a's and b's projections intersect in
+// dimension d's group coordinates: (Row, Col) for Dim1, (Die, Col) for
+// Dim2, (Bank, Col) for Dim3. blockedPieces(d, a, b) is empty otherwise.
+func sharesGroup(d Dim, a, b fault.Region) bool {
+	switch d {
+	case Dim1:
+		return a.Row.Intersects(b.Row) && a.Col.Intersects(b.Col)
+	case Dim2:
+		return a.Die.Intersects(b.Die) && a.Col.Intersects(b.Col)
+	case Dim3:
+		return a.Bank.Intersects(b.Bank) && a.Col.Intersects(b.Col)
 	}
 	return false
 }
