@@ -37,17 +37,22 @@ type bankKey struct {
 	Stack, Die, Bank int
 }
 
-// DDS tracks sparing state for the whole system.
+// DDS tracks sparing state for the whole system. Its tables are dense
+// arrays over the geometry, and Reset clears only the entries a trial
+// touched, so reusing one DDS across Monte Carlo trials costs nothing per
+// untouched bank.
 type DDS struct {
 	cfg stack.Config
 
 	maxRows    int
 	spareBanks int
 
-	// rrtRows counts RRT entries consumed per bank.
-	rrtRows map[bankKey]int
+	// rrtRows counts RRT entries consumed per bank, indexed by
+	// bankIndex; touched lists the indices made non-zero since Reset.
+	rrtRows []int
+	touched []int
 	// brt lists banks remapped to spare banks, per stack.
-	brt map[int][]bankKey
+	brt [][]bankKey
 	// sparedScratch backs Offer's sparedLive result so bank escalation does
 	// not allocate on the simulator's hot path.
 	sparedScratch []int
@@ -67,24 +72,43 @@ func New(cfg stack.Config) *DDS {
 
 // NewWithBudget builds DDS state with explicit budgets (for ablations).
 func NewWithBudget(cfg stack.Config, maxRowsPerBank, spareBanks int) *DDS {
-	return &DDS{
+	banks := cfg.Stacks * (cfg.DataDies + cfg.ECCDies) * cfg.BanksPerDie
+	d := &DDS{
 		cfg:        cfg,
 		maxRows:    maxRowsPerBank,
 		spareBanks: spareBanks,
-		rrtRows:    make(map[bankKey]int),
-		brt:        make(map[int][]bankKey),
+		rrtRows:    make([]int, banks),
+		touched:    make([]int, 0, banks),
+		brt:        make([][]bankKey, cfg.Stacks),
 	}
+	for s := range d.brt {
+		d.brt[s] = make([]bankKey, 0, max(spareBanks, 0))
+	}
+	return d
 }
 
 // Reset clears all sparing state, retaining table capacity so the Monte
 // Carlo engine can reuse a DDS across trials.
 func (d *DDS) Reset() {
-	clear(d.rrtRows)
-	for k, v := range d.brt {
-		d.brt[k] = v[:0]
+	for _, i := range d.touched {
+		d.rrtRows[i] = 0
+	}
+	d.touched = d.touched[:0]
+	for s := range d.brt {
+		d.brt[s] = d.brt[s][:0]
 	}
 	d.rejectFootprint = 0
 	d.rejectBudget = 0
+}
+
+// bankIndex returns the rrtRows index of a bank, or false when the bank
+// lies outside the geometry.
+func (d *DDS) bankIndex(stackIdx, die, bank int) (int, bool) {
+	dies := d.cfg.DataDies + d.cfg.ECCDies
+	if stackIdx < 0 || stackIdx >= d.cfg.Stacks || die < 0 || die >= dies || bank < 0 || bank >= d.cfg.BanksPerDie {
+		return 0, false
+	}
+	return (stackIdx*dies+die)*d.cfg.BanksPerDie + bank, true
 }
 
 // RejectCounts returns how many Offer calls were rejected since the last
@@ -97,14 +121,25 @@ func (d *DDS) RejectCounts() (footprint, budget int) {
 
 // RowEntriesUsed returns the number of RRT entries consumed for the bank.
 func (d *DDS) RowEntriesUsed(stackIdx, die, bank int) int {
-	return d.rrtRows[bankKey{stackIdx, die, bank}]
+	if i, ok := d.bankIndex(stackIdx, die, bank); ok {
+		return d.rrtRows[i]
+	}
+	return 0
 }
 
 // BankSparesUsed returns the number of BRT entries consumed in the stack.
-func (d *DDS) BankSparesUsed(stackIdx int) int { return len(d.brt[stackIdx]) }
+func (d *DDS) BankSparesUsed(stackIdx int) int {
+	if stackIdx < 0 || stackIdx >= len(d.brt) {
+		return 0
+	}
+	return len(d.brt[stackIdx])
+}
 
 // BankSpared reports whether the given bank has been remapped.
 func (d *DDS) BankSpared(stackIdx, die, bank int) bool {
+	if stackIdx < 0 || stackIdx >= len(d.brt) {
+		return false
+	}
 	for _, k := range d.brt[stackIdx] {
 		if k == (bankKey{stackIdx, die, bank}) {
 			return true
@@ -140,14 +175,16 @@ func (d *DDS) singleBank(r fault.Region) (die, bank int, ok bool) {
 // exhaustion escalates the whole bank to a spare bank, every resident fault
 // of that bank moves with it).
 //
-// Faults spanning multiple banks (unrepaired TSV remnants) cannot be spared
-// by DDS and are rejected.
+// Faults spanning multiple banks (unrepaired TSV remnants), and faults
+// outside the geometry's stacks, cannot be spared by DDS and are
+// rejected.
 //
 // The returned sparedLive slice is backed by internal scratch and only
 // valid until the next Offer call; callers must consume it immediately.
 func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedLive []int) {
 	die, bank, ok := d.singleBank(f.Region)
-	if !ok {
+	idx, inGeometry := d.bankIndex(f.Region.Stack, die, bank)
+	if !ok || !inGeometry {
 		d.rejectFootprint++
 		return false, nil
 	}
@@ -157,8 +194,11 @@ func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedL
 		return true, nil
 	}
 	rows := f.RowsNeedingSparing(d.cfg)
-	if rows <= d.maxRows-d.rrtRows[key] {
-		d.rrtRows[key] += rows
+	if used := d.rrtRows[idx]; rows <= d.maxRows-used {
+		if used == 0 && rows > 0 {
+			d.touched = append(d.touched, idx)
+		}
+		d.rrtRows[idx] = used + rows
 		return true, nil
 	}
 	// Row budget exceeded: escalate to bank sparing.
@@ -188,8 +228,8 @@ func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedL
 // String summarizes sparing state.
 func (d *DDS) String() string {
 	used := 0
-	for _, n := range d.rrtRows {
-		used += n
+	for _, i := range d.touched {
+		used += d.rrtRows[i]
 	}
 	banks := 0
 	for _, b := range d.brt {

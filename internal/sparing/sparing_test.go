@@ -198,3 +198,78 @@ func TestMetadataDieBankSparable(t *testing.T) {
 		t.Error("metadata-die bank fault not spared")
 	}
 }
+
+// sparingCycle drives one trial's worth of DDS traffic on stack 0: rows
+// spared in two banks, a fifth row escalating bank (1, 2) with a
+// co-resident fault, a second escalation, a budget rejection, a
+// multi-bank rejection, and a fault outside the geometry.
+func sparingCycle(d *DDS, live []fault.Fault) {
+	for i := 0; i < 4; i++ {
+		d.Offer(rowFault(0, 1, 2, 100+i), live)
+	}
+	d.Offer(rowFault(0, 8, 7, 3), live)
+	d.Offer(rowFault(0, 1, 2, 200), live)
+	d.Offer(bankFault(0, 3, 3), live)
+	d.Offer(bankFault(0, 4, 4), live)
+	d.Offer(fault.Fault{Region: fault.Region{Die: fault.ExactPattern(1),
+		Bank: fault.AllPattern(), Row: fault.AllPattern(), Col: fault.AllPattern()}}, live)
+	d.Offer(rowFault(5, 0, 0, 1), live)
+}
+
+// TestResetClearsTouchedBanks: after row sparing, bank escalation and
+// both kinds of rejection, Reset returns every query to zero for every
+// bank the cycle touched, and a second cycle sees the same state as the
+// first.
+func TestResetClearsTouchedBanks(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	d := New(cfg)
+	live := []fault.Fault{rowFault(0, 1, 2, 7), rowFault(0, 3, 4, 7)}
+	sparingCycle(d, live)
+	if d.RowEntriesUsed(0, 8, 7) != 1 || !d.BankSpared(0, 1, 2) || !d.BankSpared(0, 3, 3) ||
+		d.BankSparesUsed(0) != 2 {
+		t.Fatalf("cycle did not spare as expected: %v", d)
+	}
+	if fp, budget := d.RejectCounts(); fp != 2 || budget != 1 {
+		t.Fatalf("RejectCounts = %d, %d; want 2, 1", fp, budget)
+	}
+	first := d.String()
+	d.Reset()
+	dies := cfg.DataDies + cfg.ECCDies
+	for s := 0; s < cfg.Stacks; s++ {
+		if d.BankSparesUsed(s) != 0 {
+			t.Errorf("stack %d: %d spare banks used after Reset", s, d.BankSparesUsed(s))
+		}
+		for die := 0; die < dies; die++ {
+			for bank := 0; bank < cfg.BanksPerDie; bank++ {
+				if d.RowEntriesUsed(s, die, bank) != 0 || d.BankSpared(s, die, bank) {
+					t.Errorf("bank (%d, %d, %d) not cleared by Reset", s, die, bank)
+				}
+			}
+		}
+	}
+	if fp, budget := d.RejectCounts(); fp != 0 || budget != 0 {
+		t.Errorf("RejectCounts = %d, %d after Reset", fp, budget)
+	}
+	if got := d.String(); got != "DDS{spareRows:0 spareBanks:0}" {
+		t.Errorf("String after Reset = %s", got)
+	}
+	sparingCycle(d, live)
+	if got := d.String(); got != first {
+		t.Errorf("second cycle: %s, first: %s", got, first)
+	}
+}
+
+// TestOfferResetAllocFree pins the trial loop's zero-allocation contract
+// at the sparing layer: a warm Offer+Reset cycle allocates nothing.
+func TestOfferResetAllocFree(t *testing.T) {
+	d := New(stack.DefaultConfig())
+	live := []fault.Fault{rowFault(0, 1, 2, 7), rowFault(0, 3, 4, 7)}
+	cycle := func() {
+		sparingCycle(d, live)
+		d.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Offer+Reset cycle allocates %.1f times, want 0", allocs)
+	}
+}
