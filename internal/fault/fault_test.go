@@ -144,7 +144,7 @@ func TestFootprintShapes(t *testing.T) {
 		var classes = []Class{Bit, Word, Column, Row, SubArray, Bank, DataTSV, AddrTSV}
 		c := classes[rng.Intn(len(classes))]
 		var f Fault
-		s.place(rng, &f, c, Permanent)
+		s.place(&draws{rng: rng}, &f, c, Permanent)
 		rows := f.Region.Row.CountBelow(uint32(cfg.RowsPerBank))
 		cols := f.Region.Col.CountBelow(rowBits)
 		switch c {
@@ -197,12 +197,12 @@ func TestRowsNeedingSparing(t *testing.T) {
 	s := NewSampler(cfg, Table1())
 	rng := rand.New(rand.NewSource(16))
 	var f Fault
-	s.place(rng, &f, Bank, Permanent)
+	s.place(&draws{rng: rng}, &f, Bank, Permanent)
 	if got := f.RowsNeedingSparing(cfg); got != 65536 {
 		t.Errorf("bank fault needs %d rows, want 65536", got)
 	}
 	f = Fault{}
-	s.place(rng, &f, Bit, Permanent)
+	s.place(&draws{rng: rng}, &f, Bit, Permanent)
 	if got := f.RowsNeedingSparing(cfg); got != 1 {
 		t.Errorf("bit fault needs %d rows, want 1", got)
 	}

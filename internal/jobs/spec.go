@@ -173,8 +173,16 @@ func (s Spec) Normalize() Spec {
 // Key hashes it, so results and checkpoints stored under an older layout
 // are orphaned instead of served; bump it whenever seeded results
 // change. Version 3 is the superposed sampler: one Poisson count per
-// window, then a stream label per event.
-const streamVersion = 3
+// window, then a stream label per event. Version 4 draws that count by
+// inverting the Poisson CDF with one uniform, labels data- and
+// address-TSV events as two streams, and places each fault with bounded
+// draws of only the coordinates its class keeps.
+const streamVersion = 4
+
+// streamFingerprint is the SHA-256 of the results of the fixed campaigns
+// in TestStreamVersionFingerprint under this stream version. A change
+// that moves it changes seeded results: bump streamVersion with it.
+const streamFingerprint = "9c1dec4204575556c94360cb228dc931761738d23785c2080c9a181ec4da0a66"
 
 // Key returns the canonical content address of the campaign: the
 // SHA-256 of the stream version and the normalized spec with priority
