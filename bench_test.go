@@ -11,6 +11,7 @@ package citadel_test
 // with printed tables.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,7 +100,10 @@ func BenchmarkMonteCarloTrialThroughput(b *testing.B) {
 		Seed:    1,
 	}
 	b.ResetTimer()
-	r := citadel.SimulateReliability(opts, citadel.SchemeCitadel)
+	r, err := citadel.SimulateScenarioReliabilityContext(context.Background(), opts, "Citadel")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(r.Trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
@@ -108,7 +112,7 @@ func BenchmarkMonteCarloTrialThroughput(b *testing.B) {
 func BenchmarkPerfSimRequestThroughput(b *testing.B) {
 	prof, _ := citadel.BenchmarkByName("mcf")
 	b.ResetTimer()
-	r := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: b.N, Seed: 1})
+	r := citadel.SimulatePerformanceContext(context.Background(), prof, citadel.PerfOptions{Requests: b.N, Seed: 1})
 	if r.Cycles == 0 && b.N > 1000 {
 		b.Fatal("simulation produced no cycles")
 	}
@@ -147,7 +151,7 @@ func BenchmarkAblationSpareRows(b *testing.B) {
 	b.ResetTimer()
 	var escape4 float64
 	for i := 0; i < b.N; i++ {
-		c := citadel.RunFaultCensus(opts)
+		c := citadel.RunFaultCensusContext(context.Background(), opts)
 		total, over := 0, 0
 		for rows, n := range c.RowsHistogram {
 			total += n

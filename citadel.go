@@ -14,12 +14,14 @@
 //   - DDS (Dynamic Dual-granularity Sparing): permanent faults are spared
 //     at row or bank granularity to stop fault accumulation.
 //
-// The package offers three entry points:
+// The package offers three entry points, each taking a context so a
+// caller can cancel a run and keep its partial result:
 //
-//   - SimulateReliability runs FaultSim-style Monte Carlo lifetime studies
-//     for any protection Scheme (the paper's Figures 4, 9, 14, 18, 19).
-//   - SimulatePerformance runs the queueing performance/power model over
-//     synthetic SPEC/PARSEC/BioBench workloads (Figures 5, 13, 15, 16).
+//   - SimulateScenarioReliabilityContext runs FaultSim-style Monte Carlo
+//     lifetime studies for any protection scheme registered by name in
+//     internal/scenario (the paper's Figures 4, 9, 14, 18, 19).
+//   - SimulatePerformanceContext runs the queueing performance/power model
+//     over synthetic SPEC/PARSEC/BioBench workloads (Figures 5, 13, 15, 16).
 //   - NewController builds a bit-accurate functional model of the Citadel
 //     pipeline (CRC → TSV-SWAP → 3DP → DDS) with fault injection.
 package citadel
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ecc"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/obs/trace"
@@ -65,81 +66,6 @@ type FITRates = fault.Rates
 // use WithTSV for the sensitivity sweep).
 func Table1Rates() FITRates { return fault.Table1() }
 
-// Scheme enumerates the protection schemes the paper evaluates.
-type Scheme int
-
-const (
-	// SchemeNone is the unprotected baseline.
-	SchemeNone Scheme = iota
-	// SchemeSymbol8SameBank: strong 8-bit symbol code, line in one bank.
-	SchemeSymbol8SameBank
-	// SchemeSymbol8AcrossBanks: symbol code, line striped across the banks
-	// of one channel.
-	SchemeSymbol8AcrossBanks
-	// SchemeSymbol8AcrossChannels: symbol code, line striped across
-	// channels (the ChipKill-like baseline of Figures 14/18).
-	SchemeSymbol8AcrossChannels
-	// Scheme1DP: parity bank only.
-	Scheme1DP
-	// Scheme2DP: Dimensions 1+2.
-	Scheme2DP
-	// Scheme3DP: full Tri-Dimensional Parity.
-	Scheme3DP
-	// Scheme3DPDDS: 3DP plus Dynamic Dual-granularity Sparing.
-	Scheme3DPDDS
-	// SchemeCitadel: TSV-SWAP + 3DP + DDS (the full proposal).
-	SchemeCitadel
-	// SchemeBCH6EC7ED: 6-bit-correct/7-bit-detect BCH per line (§VIII-F).
-	SchemeBCH6EC7ED
-	// SchemeRAID5: RAID-5-style parity across channels (§VIII-F).
-	SchemeRAID5
-	// Scheme2DECC: prior-work 2D error coding over 32x32 cell tiles
-	// (§VIII-E); small-granularity protection only.
-	Scheme2DECC
-	numSchemes
-)
-
-// String names the scheme as in the paper's figures.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeNone:
-		return "None"
-	case SchemeSymbol8SameBank:
-		return "Symbol8/Same-Bank"
-	case SchemeSymbol8AcrossBanks:
-		return "Symbol8/Across-Banks"
-	case SchemeSymbol8AcrossChannels:
-		return "Symbol8/Across-Channels"
-	case Scheme1DP:
-		return "1DP"
-	case Scheme2DP:
-		return "2DP"
-	case Scheme3DP:
-		return "3DP"
-	case Scheme3DPDDS:
-		return "3DP+DDS"
-	case SchemeCitadel:
-		return "Citadel"
-	case SchemeBCH6EC7ED:
-		return "BCH-6EC7ED"
-	case SchemeRAID5:
-		return "RAID-5"
-	case Scheme2DECC:
-		return "2D-ECC"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
-// Schemes lists every scheme.
-func Schemes() []Scheme {
-	out := make([]Scheme, 0, int(numSchemes))
-	for s := SchemeNone; s < numSchemes; s++ {
-		out = append(out, s)
-	}
-	return out
-}
-
 // buildPolicy constructs the engine policy of a named scheme through the
 // scenario registry, optionally forcing TSV-SWAP on (as the paper does
 // for all systems after §V-D). A scheme that natively uses TSV-SWAP
@@ -159,21 +85,6 @@ func buildPolicy(name string, cfg Config, params scenario.Params, tsvSwap bool) 
 		p.Name += "+TSV-Swap"
 	}
 	return p, nil
-}
-
-// policy translates a Scheme into an engine policy via the registry.
-func (s Scheme) policy(cfg Config, tsvSwap bool) faultsim.Policy {
-	p, err := buildPolicy(s.String(), cfg, nil, tsvSwap)
-	if err != nil {
-		// Out-of-range enum values keep the historical fallback: an
-		// unprotected baseline reported under the enum's name.
-		p = faultsim.Policy{Predicate: ecc.NoProtection{}, Name: s.String()}
-		if tsvSwap {
-			p.UseTSVSwap = true
-			p.Name += "+TSV-Swap"
-		}
-	}
-	return p
 }
 
 // ReliabilityOptions configures a Monte Carlo reliability study.
@@ -295,9 +206,16 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 
 // scenarioSetup validates the scenario selection and builds the policy
 // and engine options for a named scheme, routing the arrival process
-// through the fault-model registry. opts must already have defaults
-// applied.
-func (o ReliabilityOptions) scenarioSetup(schemeName string) (faultsim.Policy, faultsim.Options, error) {
+// through the fault-model registry. poissonOnly marks engines that draw
+// their own Poisson arrivals (rare-event, splitting, forensic replay):
+// they refuse any other fault model rather than silently ignore it. opts
+// must already have defaults applied.
+func (o ReliabilityOptions) scenarioSetup(schemeName string, poissonOnly bool) (faultsim.Policy, faultsim.Options, error) {
+	if poissonOnly && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel {
+		return faultsim.Policy{}, faultsim.Options{}, fmt.Errorf(
+			"citadel: rare-event, splitting and forensic replay support only the %q fault model, not %q",
+			scenario.DefaultFaultModel, o.FaultModel)
+	}
 	params := scenario.Params(o.ScenarioParams)
 	if err := scenario.ValidateParams(schemeName, o.FaultModel, params); err != nil {
 		return faultsim.Policy{}, faultsim.Options{}, err
@@ -315,70 +233,42 @@ func (o ReliabilityOptions) scenarioSetup(schemeName string) (faultsim.Policy, f
 	return pol, eo, nil
 }
 
-// rareEventCompatible rejects scenario selections the importance-sampled
-// engine cannot honor: it builds its own biased Poisson sampler, so any
-// other arrival process would be silently ignored.
-func (o ReliabilityOptions) rareEventCompatible() error {
-	if o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel {
-		return fmt.Errorf("citadel: rare-event engine supports only the %q fault model, not %q",
-			scenario.DefaultFaultModel, o.FaultModel)
-	}
-	return nil
-}
-
-// SimulateScenarioReliability runs a reliability study for a registered
-// scheme/fault-model pair selected by name; it cannot be interrupted
-// (see SimulateScenarioReliabilityContext).
-func SimulateScenarioReliability(opts ReliabilityOptions, schemeName string) (Result, error) {
-	return SimulateScenarioReliabilityContext(context.Background(), opts, schemeName)
-}
-
-// SimulateScenarioReliabilityContext is the name-based core every
-// reliability path runs through: the scheme plugin builds the policy,
-// the fault-model plugin builds the arrival process, and the engine
-// simulates them. For registered enum schemes under the default fault
-// model it is bit-identical to SimulateReliabilityContext. Errors are
-// configuration errors (unknown plugin, bad parameters); a cancelled
-// context still returns a partial Result with a nil error.
+// SimulateScenarioReliabilityContext estimates the probability of system
+// failure for one registered scheme (see scenario.Schemes; the paper's
+// schemes are registered under the names of its figures, e.g. "Citadel",
+// "3DP", "Symbol8/Across-Channels"). The scheme plugin builds the policy,
+// the fault-model plugin named by opts.FaultModel builds the arrival
+// process, and the engine simulates them. With opts.RareEvent the trial
+// budget runs through the importance-sampled engine instead and the
+// Result comes back Weighted.
+//
+// Errors are configuration errors (unknown plugin, bad parameters, a
+// fault model the rare-event engine cannot honor). Cancelling ctx stops
+// the workers within one trial batch and returns the completed trials as
+// a Result marked Partial with a nil error; the estimate stays unbiased,
+// just wider.
 func SimulateScenarioReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemeName string) (Result, error) {
 	opts = opts.withDefaults()
-	if opts.RareEvent {
-		if err := opts.rareEventCompatible(); err != nil {
-			return Result{}, err
-		}
-		if err := scenario.ValidateParams(schemeName, opts.FaultModel, scenario.Params(opts.ScenarioParams)); err != nil {
-			return Result{}, err
-		}
-		pol, err := buildPolicy(schemeName, opts.Config, scenario.Params(opts.ScenarioParams), opts.TSVSwap)
-		if err != nil {
-			return Result{}, err
-		}
-		return rare.RunISContext(ctx, rare.Options{
-			Options:    opts.engineOptions(),
-			BiasFactor: opts.BiasFactor,
-		}, pol), nil
-	}
-	pol, eo, err := opts.scenarioSetup(schemeName)
+	pol, eo, err := opts.scenarioSetup(schemeName, opts.RareEvent)
 	if err != nil {
 		return Result{}, err
+	}
+	if opts.RareEvent {
+		return rare.RunISContext(ctx, rare.Options{Options: eo, BiasFactor: opts.BiasFactor}, pol), nil
 	}
 	return faultsim.RunContext(ctx, eo, pol), nil
 }
 
-// SimulateScenarioReliabilityAdaptive is the adaptive (failure-count-
-// targeted) variant of SimulateScenarioReliability.
-func SimulateScenarioReliabilityAdaptive(opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
-	return SimulateScenarioReliabilityAdaptiveContext(context.Background(), opts, schemeName, targetFailures, maxTrials)
-}
-
 // SimulateScenarioReliabilityAdaptiveContext adds trials in batches until
-// targetFailures or maxTrials, with the scheme and arrival process
-// resolved through the scenario registry. Like the enum-based adaptive
-// path it always uses the plain Monte Carlo engine (RareEvent is
-// ignored).
+// targetFailures failures are observed (tight relative confidence on
+// rare-event schemes like Citadel) or maxTrials is reached — the paper's
+// "more trials for schemes that show lower failure rates" methodology
+// (§III-B). It always uses the plain Monte Carlo engine (RareEvent is
+// ignored); cancellation stops the batch loop and returns the trials
+// accumulated so far as a Result marked Partial.
 func SimulateScenarioReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
 	opts = opts.withDefaults()
-	pol, eo, err := opts.scenarioSetup(schemeName)
+	pol, eo, err := opts.scenarioSetup(schemeName, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -389,115 +279,25 @@ func SimulateScenarioReliabilityAdaptiveContext(ctx context.Context, opts Reliab
 	}, pol), nil
 }
 
-// SimulateReliability estimates the probability of system failure for one
-// scheme under the given options; it cannot be interrupted (see
-// SimulateReliabilityContext).
-func SimulateReliability(opts ReliabilityOptions, scheme Scheme) Result {
-	return SimulateReliabilityContext(context.Background(), opts, scheme)
-}
-
-// SimulateReliabilityContext estimates the probability of system failure
-// for one scheme. Cancelling ctx stops the Monte Carlo workers within
-// one trial batch; the completed trials are returned as a Result marked
-// Partial (the estimate stays unbiased, just wider). With
-// opts.RareEvent the trial budget runs through the importance-sampled
-// engine instead and the Result comes back Weighted.
-func SimulateReliabilityContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme) Result {
-	opts = opts.withDefaults()
-	return runOne(ctx, opts, scheme)
-}
-
-// runOne dispatches one scheme to the name-based core. Out-of-range enum
-// values (not in the registry) keep the historical unprotected-baseline
-// fallback; other configuration errors (an unknown fault model, bad
-// scenario parameters) surface as a zero-trial Result carrying the error,
-// since the enum signatures predate error returns.
-func runOne(ctx context.Context, opts ReliabilityOptions, scheme Scheme) Result {
-	if _, ok := scenario.SchemeByName(scheme.String()); !ok {
-		pol := scheme.policy(opts.Config, opts.TSVSwap)
-		if opts.RareEvent {
-			return rare.RunISContext(ctx, rare.Options{
-				Options:    opts.engineOptions(),
-				BiasFactor: opts.BiasFactor,
-			}, pol)
-		}
-		return faultsim.RunContext(ctx, opts.engineOptions(), pol)
-	}
-	res, err := SimulateScenarioReliabilityContext(ctx, opts, scheme.String())
-	if err != nil {
-		return Result{Policy: scheme.String(), Err: err, Partial: true}
-	}
-	return res
-}
-
-// CompareReliability runs several schemes under identical options.
-func CompareReliability(opts ReliabilityOptions, schemes ...Scheme) []Result {
-	return CompareReliabilityContext(context.Background(), opts, schemes...)
-}
-
-// CompareReliabilityContext runs several schemes under identical options.
-// Once ctx is cancelled, the in-flight scheme returns a partial Result
-// and the remaining schemes return immediately with zero trials, all
-// marked Partial.
-func CompareReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemes ...Scheme) []Result {
-	opts = opts.withDefaults()
-	out := make([]Result, len(schemes))
-	for i, s := range schemes {
-		out[i] = runOne(ctx, opts, s)
-	}
-	return out
-}
-
-// SimulateReliabilityAdaptive adds trials in batches until targetFailures
-// failures are observed (tight relative confidence on rare-event schemes
-// like Citadel) or maxTrials is reached — the paper's "more trials for
-// schemes that show lower failure rates" methodology (§III-B).
-func SimulateReliabilityAdaptive(opts ReliabilityOptions, scheme Scheme, targetFailures, maxTrials int) Result {
-	return SimulateReliabilityAdaptiveContext(context.Background(), opts, scheme, targetFailures, maxTrials)
-}
-
-// SimulateReliabilityAdaptiveContext is SimulateReliabilityAdaptive under
-// a context: cancellation stops the batch loop and returns the trials
-// accumulated so far as a Result marked Partial.
-func SimulateReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, targetFailures, maxTrials int) Result {
-	opts = opts.withDefaults()
-	if _, ok := scenario.SchemeByName(scheme.String()); ok {
-		res, err := SimulateScenarioReliabilityAdaptiveContext(ctx, opts, scheme.String(), targetFailures, maxTrials)
-		if err != nil {
-			return Result{Policy: scheme.String(), Err: err, Partial: true}
-		}
-		return res
-	}
-	return faultsim.RunAdaptiveContext(ctx, faultsim.AdaptiveOptions{
-		Options:        opts.engineOptions(),
-		TargetFailures: targetFailures,
-		MaxTrials:      maxTrials,
-	}, scheme.policy(opts.Config, opts.TSVSwap))
-}
-
 // SplitResult is a multilevel-splitting reliability estimate — the
 // cross-validation counterpart of the importance-sampled engine.
 type SplitResult = rare.SplitResult
 
-// SimulateReliabilitySplit estimates failure probability by multilevel
-// splitting on the number of simultaneously live faults, using
-// opts.Trials trajectories per stage at the given levels (nil selects
-// the default [1, 2]). It shares no bias machinery with the
-// importance-sampled path, so agreement between the two is a meaningful
-// check; it cannot be interrupted (see SimulateReliabilitySplitContext).
-func SimulateReliabilitySplit(opts ReliabilityOptions, scheme Scheme, levels []int) SplitResult {
-	return SimulateReliabilitySplitContext(context.Background(), opts, scheme, levels)
-}
-
-// SimulateReliabilitySplitContext is SimulateReliabilitySplit under a
-// context: cancellation abandons the run and returns a SplitResult
-// marked Partial.
-func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, levels []int) SplitResult {
+// SimulateReliabilitySplitContext estimates the failure probability of a
+// registered scheme by multilevel splitting on the number of
+// simultaneously live faults, using opts.Trials trajectories per stage at
+// the given levels (nil selects the default [1, 2]). It shares no bias
+// machinery with the importance-sampled path, so agreement between the
+// two is a meaningful check. Like the rare-event engine it draws Poisson
+// arrivals and refuses any other fault model. Cancellation abandons the
+// run and returns a SplitResult marked Partial.
+func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOptions, schemeName string, levels []int) (SplitResult, error) {
 	opts = opts.withDefaults()
-	return rare.RunSplitContext(ctx, rare.SplitOptions{
-		Options: opts.engineOptions(),
-		Levels:  levels,
-	}, scheme.policy(opts.Config, opts.TSVSwap))
+	pol, eo, err := opts.scenarioSetup(schemeName, true)
+	if err != nil {
+		return SplitResult{}, err
+	}
+	return rare.RunSplitContext(ctx, rare.SplitOptions{Options: eo, Levels: levels}, pol), nil
 }
 
 // FaultCensus tallies permanent-fault anatomy over lifetimes: the bimodal
@@ -505,13 +305,9 @@ func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOption
 // distribution (Table III).
 type FaultCensus = faultsim.Census
 
-// RunFaultCensus performs the census behind Figure 17 and Table III.
-func RunFaultCensus(opts ReliabilityOptions) FaultCensus {
-	return RunFaultCensusContext(context.Background(), opts)
-}
-
-// RunFaultCensusContext is RunFaultCensus under a context: a cancelled
-// census returns the tallies gathered so far, marked Partial.
+// RunFaultCensusContext performs the census behind Figure 17 and
+// Table III; a cancelled census returns the tallies gathered so far,
+// marked Partial.
 func RunFaultCensusContext(ctx context.Context, opts ReliabilityOptions) FaultCensus {
 	opts = opts.withDefaults()
 	return faultsim.RunCensusContext(ctx, opts.engineOptions(), opts.TSVSwap)

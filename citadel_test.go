@@ -8,25 +8,8 @@ import (
 	"time"
 )
 
-func TestSchemeNames(t *testing.T) {
-	seen := map[string]bool{}
-	for _, s := range Schemes() {
-		name := s.String()
-		if name == "" || seen[name] {
-			t.Errorf("bad or duplicate scheme name %q", name)
-		}
-		seen[name] = true
-	}
-	if Scheme(99).String() != "Scheme(99)" {
-		t.Error("unknown scheme name wrong")
-	}
-	if len(Schemes()) != 12 {
-		t.Errorf("Schemes() = %d entries, want 12", len(Schemes()))
-	}
-}
-
 func TestSimulateReliabilityDefaults(t *testing.T) {
-	r := SimulateReliability(ReliabilityOptions{Trials: 3000, Seed: 1}, Scheme3DP)
+	r := simulate(t, context.Background(), ReliabilityOptions{Trials: 3000, Seed: 1}, "3DP")
 	if r.Trials != 3000 {
 		t.Errorf("trials = %d", r.Trials)
 	}
@@ -44,7 +27,7 @@ func TestCompareReliabilityOrdering(t *testing.T) {
 	rates.BankPermanent *= 50
 	rates.RowPermanent *= 50
 	opts := ReliabilityOptions{Rates: rates, Trials: 4000, Seed: 3}
-	rs := CompareReliability(opts, SchemeNone, Scheme1DP, Scheme3DP, SchemeCitadel)
+	rs := compare(t, context.Background(), opts, "None", "1DP", "3DP", "Citadel")
 	if !(rs[0].Failures >= rs[1].Failures && rs[1].Failures >= rs[2].Failures && rs[2].Failures >= rs[3].Failures) {
 		t.Errorf("ordering violated: %v", []int{rs[0].Failures, rs[1].Failures, rs[2].Failures, rs[3].Failures})
 	}
@@ -60,9 +43,9 @@ func TestTSVSwapOptionPropagates(t *testing.T) {
 		Seed:    4,
 		TSVSwap: true,
 	}
-	with := SimulateReliability(opts, SchemeSymbol8SameBank)
+	with := simulate(t, context.Background(), opts, "Symbol8/Same-Bank")
 	opts.TSVSwap = false
-	without := SimulateReliability(opts, SchemeSymbol8SameBank)
+	without := simulate(t, context.Background(), opts, "Symbol8/Same-Bank")
 	if with.Failures >= without.Failures {
 		t.Errorf("TSV-Swap did not reduce failures: with=%d without=%d",
 			with.Failures, without.Failures)
@@ -92,7 +75,7 @@ func TestStorageOverheadMatchesPaper(t *testing.T) {
 func TestRunFaultCensus(t *testing.T) {
 	rates := Table1Rates()
 	rates.BankPermanent *= 100
-	c := RunFaultCensus(ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true})
+	c := RunFaultCensusContext(context.Background(), ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true})
 	if c.FaultyBankTotal() == 0 {
 		t.Error("census empty")
 	}
@@ -112,11 +95,11 @@ func TestBenchmarksExposed(t *testing.T) {
 
 func TestSimulatePerformanceAPI(t *testing.T) {
 	b, _ := BenchmarkByName("gcc")
-	base := SimulatePerformance(b, PerfOptions{Requests: 10000, Seed: 1})
+	base := SimulatePerformanceContext(context.Background(), b, PerfOptions{Requests: 10000, Seed: 1})
 	if base.Cycles == 0 || base.ActivePowerWatts <= 0 {
 		t.Fatalf("degenerate result: %+v", base)
 	}
-	striped := SimulatePerformance(b, PerfOptions{
+	striped := SimulatePerformanceContext(context.Background(), b, PerfOptions{
 		Striping: AcrossChannels, Requests: 10000, Seed: 1,
 	})
 	if striped.Cycles <= base.Cycles {
@@ -139,7 +122,7 @@ func TestProtectionNames(t *testing.T) {
 
 func TestMeasureParityCaching(t *testing.T) {
 	b, _ := BenchmarkByName("lbm")
-	r := MeasureParityCaching(b, 50000, 1)
+	r := MeasureParityCachingContext(context.Background(), b, 50000, 1)
 	if r.ParityProbes == 0 {
 		t.Fatal("no parity probes")
 	}
@@ -228,7 +211,7 @@ func TestWorkersClampPropagates(t *testing.T) {
 	rates := Table1Rates()
 	rates.BankPermanent *= 50
 	opts := ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 9, Workers: -5}
-	r := SimulateReliability(opts, Scheme3DP)
+	r := simulate(t, context.Background(), opts, "3DP")
 	if r.Trials != 2000 {
 		t.Errorf("clamped run completed %d trials, want 2000", r.Trials)
 	}
@@ -239,7 +222,7 @@ func TestWorkersClampPropagates(t *testing.T) {
 	// change the statistics.
 	one := opts
 	one.Workers = 1
-	if got := SimulateReliability(one, Scheme3DP); got.Failures != r.Failures {
+	if got := simulate(t, context.Background(), one, "3DP"); got.Failures != r.Failures {
 		t.Errorf("Workers=-5 (%d failures) != Workers=1 (%d failures)", r.Failures, got.Failures)
 	}
 }
@@ -251,7 +234,7 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	r := SimulateReliabilityContext(ctx, ReliabilityOptions{Trials: 4_000_000, Seed: 1}, SchemeNone)
+	r := simulate(t, ctx, ReliabilityOptions{Trials: 4_000_000, Seed: 1}, "None")
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled simulation took %v", elapsed)
 	}
@@ -264,13 +247,11 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 }
 
 func TestCompareReliabilityContextCancelled(t *testing.T) {
+	// A cancelled context gives a zero-trial Partial result for every
+	// scheme of a comparison.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rs := CompareReliabilityContext(ctx, ReliabilityOptions{Trials: 10000, Seed: 1}, SchemeNone, Scheme3DP)
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	for i, r := range rs {
+	for i, r := range compare(t, ctx, ReliabilityOptions{Trials: 10000, Seed: 1}, "None", "3DP") {
 		if !r.Partial || r.Trials != 0 {
 			t.Errorf("result %d not an empty partial: %+v", i, r)
 		}
@@ -291,4 +272,25 @@ func TestSimulatePerformanceContextCancel(t *testing.T) {
 	if r.RequestsDone <= 0 || r.RequestsDone >= 50_000_000 {
 		t.Errorf("RequestsDone = %d", r.RequestsDone)
 	}
+}
+
+// simulate runs one named scheme, failing the test on a configuration
+// error.
+func simulate(t *testing.T, ctx context.Context, opts ReliabilityOptions, scheme string) Result {
+	t.Helper()
+	r, err := SimulateScenarioReliabilityContext(ctx, opts, scheme)
+	if err != nil {
+		t.Fatalf("%s: %v", scheme, err)
+	}
+	return r
+}
+
+// compare runs several named schemes under identical options.
+func compare(t *testing.T, ctx context.Context, opts ReliabilityOptions, schemes ...string) []Result {
+	t.Helper()
+	out := make([]Result, len(schemes))
+	for i, s := range schemes {
+		out[i] = simulate(t, ctx, opts, s)
+	}
+	return out
 }

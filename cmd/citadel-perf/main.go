@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -104,9 +105,10 @@ func main() {
 
 	fmt.Printf("%-12s %-9s %14s %14s %16s %10s\n",
 		"benchmark", "suite", "cycles", "norm.time", "active power W", "row-hit")
+	ctx := context.Background()
 	for _, b := range benches {
-		base := citadel.SimulatePerformance(b, citadel.PerfOptions{Requests: *requests, Seed: *seed})
-		r := citadel.SimulatePerformance(b, citadel.PerfOptions{
+		base := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{Requests: *requests, Seed: *seed})
+		r := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{
 			Striping: st, Protection: prot, Requests: *requests, Seed: *seed,
 			RunID: runID, Tracer: rec,
 		})

@@ -59,16 +59,14 @@ func replayForensics(path string) int {
 		fmt.Println("no exemplars to replay")
 		return 0
 	}
-	scheme, ok := citadel.SchemeByName(report.Scheme)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", report.Scheme)
-		return 2
-	}
 	opts := report.Options()
 	failed := false
 	for i, ex := range report.Exemplars {
-		got, ok := citadel.ReplayExemplar(opts, scheme, ex)
+		got, ok, err := citadel.ReplayExemplar(opts, report.Scheme, ex)
 		switch {
+		case err != nil:
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		case !ok:
 			fmt.Printf("exemplar %d: NOT REPRODUCED (%s)\n", i, ex)
 			failed = true

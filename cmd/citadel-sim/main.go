@@ -14,15 +14,19 @@
 //	citadel-sim -list
 //	citadel-sim -list-scenarios
 //
-// Beyond the paper's enum schemes, -scheme and -fault-model accept any
-// plugin registered in the scenario registry (internal/scenario);
-// -list-scenarios prints the catalog with per-plugin -scenario-param
-// knobs. Scenario-specific counters (replica-fetch traffic, rowhammer
-// episodes) are printed after the result line.
+// -scheme and -fault-model accept any plugin registered in the scenario
+// registry (internal/scenario): the paper's schemes plus plugins such as
+// two-tier-replication and cerberus-cross-layer. -list prints the scheme
+// names; -list-scenarios prints the catalog with per-plugin
+// -scenario-param knobs. Scenario-specific counters (replica-fetch
+// traffic, rowhammer episodes) are printed after the result line.
 //
 // -forensics writes a replayable failure-forensics report (feed it to
-// citadel-repro -forensics to verify). -trace writes the flight recorder
-// as Chrome trace-event JSON (open in Perfetto / chrome://tracing).
+// citadel-repro -forensics to verify); the report records neither the
+// fault model nor plugin knobs, so it requires the default fault model
+// and no -scenario-param. -split likewise requires the default fault
+// model. -trace writes the flight recorder as Chrome trace-event JSON
+// (open in Perfetto / chrome://tracing).
 //
 // -job-dir runs the campaign durably: progress is checkpointed to a
 // content-addressed store every -checkpoint-trials trials, so a killed
@@ -154,8 +158,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, s := range citadel.Schemes() {
-			fmt.Println(s)
+		for _, s := range scenario.Schemes() {
+			fmt.Println(s.Name)
 		}
 		return
 	}
@@ -177,19 +181,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// -split and -forensics replay through the enum-typed entry points,
-	// which run the default Poisson process; they accept only the paper's
-	// enum schemes under the default fault model.
-	var scheme citadel.Scheme
-	enumScheme := false
-	for _, s := range citadel.Schemes() {
-		if s.String() == *schemeName {
-			scheme, enumScheme = s, true
-			break
-		}
-	}
-	if (*splitCheck || *forensics != "") && !enumScheme {
-		fmt.Fprintf(os.Stderr, "-split and -forensics support only the enum schemes (see -list), not %q\n", *schemeName)
+	// A forensics report does not record plugin knobs, so its replay
+	// would diverge from a run that set any.
+	if *forensics != "" && len(scenarioParams) > 0 {
+		fmt.Fprintln(os.Stderr, "-forensics is incompatible with -scenario-param")
 		os.Exit(2)
 	}
 	if (*splitCheck || *forensics != "" || *rareEvent) && *faultModel != "" && *faultModel != scenario.DefaultFaultModel {
@@ -318,7 +313,11 @@ func main() {
 			res.ESS(), res.EffectiveTrials(), res.EffectiveTrials()/float64(max(res.Trials, 1)), res.Trials)
 	}
 	if *forensics != "" {
-		report := citadel.NewForensicsReport(opts, scheme, res)
+		report, err := citadel.NewForensicsReport(opts, *schemeName, res)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if err := writeJSONFile(*forensics, report); err != nil {
 			fmt.Fprintf(os.Stderr, "writing forensics report: %v\n", err)
 			os.Exit(1)
@@ -351,7 +350,11 @@ func main() {
 		fmt.Printf("%-6d %.3e\n", y, res.ProbabilityByYear(y))
 	}
 	if *splitCheck {
-		sp := citadel.SimulateReliabilitySplitContext(ctx, opts, scheme, nil)
+		sp, err := citadel.SimulateReliabilitySplitContext(ctx, opts, *schemeName, nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if sp.Partial {
 			fmt.Fprintf(os.Stderr, "split: interrupted: %v\n", sp.Err)
 		} else {

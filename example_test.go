@@ -2,6 +2,7 @@ package citadel_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	citadel "repro"
@@ -32,12 +33,16 @@ func ExampleNewController() {
 	// corrections: 1 rows spared: 1
 }
 
-// ExampleSimulateReliability runs a small Monte Carlo study.
-func ExampleSimulateReliability() {
-	res := citadel.SimulateReliability(citadel.ReliabilityOptions{
+// ExampleSimulateScenarioReliabilityContext runs a small Monte Carlo
+// study of the scheme registered as "Citadel".
+func ExampleSimulateScenarioReliabilityContext() {
+	res, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 		Trials: 2000,
 		Seed:   1,
-	}, citadel.SchemeCitadel)
+	}, "Citadel")
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Policy, "trials:", res.Trials)
 	// Output:
 	// Citadel trials: 2000
@@ -51,11 +56,13 @@ func ExampleComputeStorageOverhead() {
 	// DRAM overhead: 14.1%
 }
 
-// ExampleSimulatePerformance compares striping layouts for one benchmark.
-func ExampleSimulatePerformance() {
+// ExampleSimulatePerformanceContext compares striping layouts for one
+// benchmark.
+func ExampleSimulatePerformanceContext() {
+	ctx := context.Background()
 	b, _ := citadel.BenchmarkByName("mcf")
-	base := citadel.SimulatePerformance(b, citadel.PerfOptions{Requests: 20000, Seed: 1})
-	striped := citadel.SimulatePerformance(b, citadel.PerfOptions{
+	base := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{Requests: 20000, Seed: 1})
+	striped := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{
 		Striping: citadel.AcrossChannels, Requests: 20000, Seed: 1,
 	})
 	fmt.Println("striping is slower:", striped.Cycles > base.Cycles)

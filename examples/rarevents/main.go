@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 	"time"
 
@@ -20,13 +22,17 @@ func main() {
 		Trials: 200000,
 		Seed:   11,
 	}
-	scheme := citadel.Scheme3DPDDS
+	const scheme = "3DP+DDS"
+	ctx := context.Background()
 
 	// Naive: at a ~1e-6 tail, 200k trials see zero or one failure — the
 	// point estimate is luck and the interval spans two decades. Note a
 	// zero-failure run prints a rule-of-three upper bound, not "± 0".
 	start := time.Now()
-	naive := citadel.SimulateReliability(opts, scheme)
+	naive, err := citadel.SimulateScenarioReliabilityContext(ctx, opts, scheme)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("naive      %s  (%.1fs)\n", naive, time.Since(start).Seconds())
 
 	// Importance-sampled: same trial budget, large-granularity fault
@@ -35,7 +41,10 @@ func main() {
 	rare := opts
 	rare.RareEvent = true // BiasFactor 0 selects citadel.DefaultBiasFactor
 	start = time.Now()
-	is := citadel.SimulateReliability(rare, scheme)
+	is, err := citadel.SimulateScenarioReliabilityContext(ctx, rare, scheme)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("rare-event %s  (%.1fs)\n", is, time.Since(start).Seconds())
 	fmt.Printf("           worth %.0fx the naive trial budget (effective trials %.3g)\n\n",
 		is.EffectiveTrials()/float64(is.Trials), is.EffectiveTrials())
@@ -45,7 +54,10 @@ func main() {
 	// failure; TargetMet distinguishes converging from giving up.
 	fmt.Println("adaptive Monte Carlo: accumulate trials until 20 failures")
 	start = time.Now()
-	res := citadel.SimulateReliabilityAdaptive(opts, scheme, 20, 4_000_000)
+	res, err := citadel.SimulateScenarioReliabilityAdaptiveContext(ctx, opts, scheme, 20, 4_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-16s P(fail,7y) = %-10.3g (%d failures / %d trials, target met: %v, %.1fs)\n",
 		res.Policy, res.Probability(), res.Failures, res.Trials,
 		res.TargetMet, time.Since(start).Seconds())

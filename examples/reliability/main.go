@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	citadel "repro"
@@ -18,27 +20,22 @@ func main() {
 		TSVSwap: true, // all systems employ TSV-Swap (paper section V-D)
 		Seed:    7,
 	}
-	schemes := []citadel.Scheme{
-		citadel.SchemeNone,
-		citadel.SchemeSymbol8SameBank,
-		citadel.SchemeSymbol8AcrossChannels,
-		citadel.Scheme1DP,
-		citadel.Scheme2DP,
-		citadel.Scheme3DP,
-		citadel.SchemeCitadel,
-	}
+	schemes := []string{"None", "Symbol8/Same-Bank", "Symbol8/Across-Channels", "1DP", "2DP", "3DP", "Citadel"}
 	fmt.Printf("%d Monte Carlo trials per scheme, 7-year lifetime, 12h scrub\n\n", opts.Trials)
 	fmt.Printf("%-32s %14s %12s\n", "scheme", "P(fail, 7y)", "runtime")
 	var baseline float64
 	for _, s := range schemes {
 		start := time.Now()
-		r := citadel.SimulateReliability(opts, s)
+		r, err := citadel.SimulateScenarioReliabilityContext(context.Background(), opts, s)
+		if err != nil {
+			log.Fatal(err)
+		}
 		p := r.Probability()
 		note := ""
-		if s == citadel.SchemeSymbol8AcrossChannels {
+		if s == "Symbol8/Across-Channels" {
 			baseline = p
 		}
-		if s == citadel.SchemeCitadel && p > 0 && baseline > 0 {
+		if s == "Citadel" && p > 0 && baseline > 0 {
 			note = fmt.Sprintf("  (%.0fx better than striped symbol code)", baseline/p)
 		}
 		if r.Failures == 0 {

@@ -34,12 +34,22 @@ type ForensicsReport struct {
 	Exemplars          []Forensic     `json:"exemplars,omitempty"`
 }
 
-// NewForensicsReport assembles the report for a completed forensics run.
-func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) ForensicsReport {
+// NewForensicsReport assembles the report for a completed forensics run
+// of the named scheme. A report records neither the fault model nor the
+// scenario parameters, so it refuses runs whose exemplars it could not
+// replay: an unknown scheme, a non-default fault model, or any
+// ScenarioParams.
+func NewForensicsReport(opts ReliabilityOptions, scheme string, res Result) (ForensicsReport, error) {
 	opts = opts.withDefaults()
+	if len(opts.ScenarioParams) > 0 {
+		return ForensicsReport{}, fmt.Errorf("citadel: a forensics report does not record scenario parameters")
+	}
+	if _, _, err := opts.scenarioSetup(scheme, true); err != nil {
+		return ForensicsReport{}, err
+	}
 	return ForensicsReport{
 		RunID:              opts.RunID,
-		Scheme:             scheme.String(),
+		Scheme:             scheme,
 		Seed:               opts.Seed,
 		Trials:             res.Trials,
 		LifetimeYears:      opts.LifetimeYears,
@@ -49,7 +59,7 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 		Failures:           res.Failures,
 		Breakdown:          res.Breakdown,
 		Exemplars:          res.Exemplars,
-	}
+	}, nil
 }
 
 // Options reconstructs the reliability options a report's exemplars replay
@@ -69,37 +79,32 @@ func (r ForensicsReport) Options() ReliabilityOptions {
 	}.withDefaults()
 }
 
-// SchemeByName resolves a scheme from its String() name (as recorded in a
-// ForensicsReport).
-func SchemeByName(name string) (Scheme, bool) {
-	for _, s := range Schemes() {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return SchemeNone, false
-}
-
 // ReplayExemplar re-executes the exemplar's trial from its recorded seed
-// and trial index under opts and scheme, returning the reproduced forensic
-// record. ok is false when the replayed trial does not fail — the
-// options/scheme no longer match the recording.
-func ReplayExemplar(opts ReliabilityOptions, scheme Scheme, ex Forensic) (Forensic, bool) {
+// and trial index under opts and the named scheme, returning the
+// reproduced forensic record. ok is false when the replayed trial does not
+// fail — the options/scheme no longer match the recording. The error
+// reports an unknown scheme or a fault model replay cannot honor.
+func ReplayExemplar(opts ReliabilityOptions, scheme string, ex Forensic) (Forensic, bool, error) {
 	opts = opts.withDefaults()
-	return faultsim.ReplayForensic(opts.engineOptions(), scheme.policy(opts.Config, opts.TSVSwap), ex)
+	pol, eo, err := opts.scenarioSetup(scheme, true)
+	if err != nil {
+		return Forensic{}, false, err
+	}
+	got, ok := faultsim.ReplayForensic(eo, pol, ex)
+	return got, ok, nil
 }
 
 // VerifyReport replays every exemplar of a report and returns an error
 // describing the first divergence (nil when all exemplars reproduce their
-// recorded fault sets and verdicts exactly).
+// recorded fault sets and verdicts exactly), or the error resolving the
+// report's scheme.
 func VerifyReport(r ForensicsReport) error {
-	scheme, ok := SchemeByName(r.Scheme)
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", r.Scheme)
+	pol, eo, err := r.Options().scenarioSetup(r.Scheme, true)
+	if err != nil {
+		return err
 	}
-	opts := r.Options()
 	for i, ex := range r.Exemplars {
-		got, ok := ReplayExemplar(opts, scheme, ex)
+		got, ok := faultsim.ReplayForensic(eo, pol, ex)
 		if !ok {
 			return fmt.Errorf("exemplar %d (%s) did not reproduce a failure", i, ex)
 		}

@@ -187,7 +187,7 @@ func (s *Server) Drain() {
 //
 //	GET  /api/v1/healthz      liveness probe
 //	GET  /api/v1/readyz       readiness probe (503 while draining)
-//	GET  /api/v1/schemes      list protection schemes
+//	GET  /api/v1/schemes      names of every registered scheme
 //	GET  /api/v1/benchmarks   list workload profiles
 //	GET  /api/v1/scenarios    scenario-registry catalog (schemes + fault models)
 //	GET  /api/v1/overhead     Citadel storage-overhead accounting
@@ -401,10 +401,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSchemes(w http.ResponseWriter, _ *http.Request) {
-	schemes := citadel.Schemes()
+	schemes := scenario.Schemes()
 	names := make([]string, 0, len(schemes))
 	for _, sc := range schemes {
-		names = append(names, sc.String())
+		names = append(names, sc.Name)
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"schemes": names})
 }

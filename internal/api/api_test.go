@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // quietLogf silences server logs in tests that exercise error paths.
@@ -64,16 +67,16 @@ func TestSchemesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if len(out.Schemes) != 12 {
-		t.Errorf("schemes = %d, want 12", len(out.Schemes))
+	// Every scheme POST accepts is listed: the registry's names, in its
+	// order.
+	var want []string
+	for _, sc := range scenario.Schemes() {
+		want = append(want, sc.Name)
 	}
-	found := false
-	for _, s := range out.Schemes {
-		if s == "Citadel" {
-			found = true
-		}
+	if !slices.Equal(out.Schemes, want) {
+		t.Errorf("schemes = %v, want the registry's %v", out.Schemes, want)
 	}
-	if !found {
+	if !slices.Contains(out.Schemes, "Citadel") {
 		t.Error("Citadel missing from scheme list")
 	}
 }

@@ -201,10 +201,7 @@ func Fig4(opt Options) Report {
 		}
 		phaseStart := time.Now()
 		o := relOpts(opt, fit, false)
-		rs := citadel.CompareReliabilityContext(ctx, o,
-			citadel.SchemeSymbol8SameBank,
-			citadel.SchemeSymbol8AcrossBanks,
-			citadel.SchemeSymbol8AcrossChannels)
+		rs := compare(ctx, o, "Symbol8/Same-Bank", "Symbol8/Across-Banks", "Symbol8/Across-Channels")
 		rep.Partial = rep.Partial || anyPartial(rs)
 		fmt.Fprintf(&b, "%-12.0f %-24s %-24s %-24s\n", fit,
 			probString(rs[0]), probString(rs[1]), probString(rs[2]))
@@ -212,6 +209,29 @@ func Fig4(opt Options) Report {
 	}
 	rep.Text = b.String()
 	return rep
+}
+
+// simulate runs one registered scheme. A configuration error lands in
+// the Result's Err as a zero-trial Partial result, so a report shows the
+// row as n/a instead of aborting.
+func simulate(ctx context.Context, o citadel.ReliabilityOptions, scheme string) citadel.Result {
+	r, err := citadel.SimulateScenarioReliabilityContext(ctx, o, scheme)
+	if err != nil {
+		return citadel.Result{Policy: scheme, Err: err, Partial: true}
+	}
+	return r
+}
+
+// compare runs several registered schemes under identical options. Once
+// ctx is cancelled, the in-flight scheme returns a partial Result and the
+// remaining schemes return immediately with zero trials, all marked
+// Partial.
+func compare(ctx context.Context, o citadel.ReliabilityOptions, schemes ...string) []citadel.Result {
+	out := make([]citadel.Result, len(schemes))
+	for i, s := range schemes {
+		out[i] = simulate(ctx, o, s)
+	}
+	return out
 }
 
 // anyPartial reports whether any result in rs was cut short.
@@ -291,11 +311,7 @@ func Fig9(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig9", Title: "Figure 9: TSV-SWAP effectiveness (TSV rate 1430 FIT/die), P(system failure, 7y)"}
 	var b strings.Builder
-	schemes := []citadel.Scheme{
-		citadel.SchemeSymbol8SameBank,
-		citadel.SchemeSymbol8AcrossBanks,
-		citadel.SchemeSymbol8AcrossChannels,
-	}
+	schemes := []string{"Symbol8/Same-Bank", "Symbol8/Across-Banks", "Symbol8/Across-Channels"}
 	fmt.Fprintf(&b, "%-26s %-16s %-16s %-16s\n", "Mapping", "No TSV-Swap", "With TSV-Swap", "No TSV faults")
 	for _, s := range schemes {
 		if ctx.Err() != nil {
@@ -303,13 +319,13 @@ func Fig9(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		noSwap := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 1430, false), s)
-		withSwap := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 1430, true), s)
-		noTSV := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 0, false), s)
+		noSwap := simulate(ctx, relOpts(opt, 1430, false), s)
+		withSwap := simulate(ctx, relOpts(opt, 1430, true), s)
+		noTSV := simulate(ctx, relOpts(opt, 0, false), s)
 		rep.Partial = rep.Partial || noSwap.Partial || withSwap.Partial || noTSV.Partial
 		fmt.Fprintf(&b, "%-26s %-16s %-16s %-16s\n", s,
 			probString(noSwap), probString(withSwap), probString(noTSV))
-		opt.phase("fig9", s.String(), phaseStart)
+		opt.phase("fig9", s, phaseStart)
 	}
 	rep.Text = b.String()
 	return rep
@@ -397,9 +413,7 @@ func yearCurves(b *strings.Builder, rs []citadel.Result) {
 func Fig14(opt Options) Report {
 	phaseStart := time.Now()
 	o := relOpts(opt, 0, true) // all systems employ TSV-Swap (paper §V-D)
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
-		citadel.SchemeSymbol8AcrossChannels,
-		citadel.Scheme1DP, citadel.Scheme2DP, citadel.Scheme3DP)
+	rs := compare(opt.context(), o, "Symbol8/Across-Channels", "1DP", "2DP", "3DP")
 	opt.phase("fig14", "monte-carlo", phaseStart)
 	var b strings.Builder
 	yearCurves(&b, rs)
@@ -429,17 +443,25 @@ func Fig15(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		base := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		base := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		partial := base.Partial
 		get := func(s citadel.Striping, p citadel.Protection) float64 {
-			r := citadel.SimulatePerformance(prof, citadel.PerfOptions{
+			r := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{
 				Striping: s, Protection: p, Requests: opt.Requests, Seed: opt.Seed,
 			})
+			partial = partial || r.Partial
 			return float64(r.Cycles) / float64(base.Cycles)
 		}
 		d3 := get(citadel.SameBank, citadel.Protection3DP)
 		d3n := get(citadel.SameBank, citadel.Protection3DPNoCache)
 		ab := get(citadel.AcrossBanks, citadel.NoProtection)
 		ac := get(citadel.AcrossChannels, citadel.NoProtection)
+		if partial {
+			// A truncated run's cycle count is not comparable to a full
+			// one: the benchmark stays out of the rows and the GMEAN.
+			rep.Partial = true
+			break
+		}
 		fmt.Fprintf(&b, "%-12s %10.3f %14.3f %14.3f %16.3f\n", prof.Name, d3, d3n, ab, ac)
 		sum.g3 += math.Log(d3)
 		sum.g3n += math.Log(d3n)
@@ -473,21 +495,29 @@ func Fig16(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		base := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		base := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		partial := base.Partial
 		get := func(s citadel.Striping, p citadel.Protection) float64 {
-			r := citadel.SimulatePerformance(prof, citadel.PerfOptions{
+			r := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{
 				Striping: s, Protection: p, Requests: opt.Requests, Seed: opt.Seed,
 			})
+			partial = partial || r.Partial
 			return r.ActivePowerWatts / base.ActivePowerWatts
+		}
+		d3, ab, ac := math.Log(get(citadel.SameBank, citadel.Protection3DP)),
+			math.Log(get(citadel.AcrossBanks, citadel.NoProtection)),
+			math.Log(get(citadel.AcrossChannels, citadel.NoProtection))
+		if partial {
+			// A truncated run's power is not comparable to a full one:
+			// the benchmark stays out of its suite's mean and the GMEAN.
+			rep.Partial = true
+			break
 		}
 		a := bySuite[prof.Suite]
 		if a == nil {
 			a = &accum{}
 			bySuite[prof.Suite] = a
 		}
-		d3, ab, ac := math.Log(get(citadel.SameBank, citadel.Protection3DP)),
-			math.Log(get(citadel.AcrossBanks, citadel.NoProtection)),
-			math.Log(get(citadel.AcrossChannels, citadel.NoProtection))
 		a.d3 += d3
 		a.ab += ab
 		a.ac += ac
@@ -572,10 +602,7 @@ func Table3(opt Options) Report {
 func Fig18(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
-		citadel.SchemeSymbol8AcrossChannels,
-		citadel.Scheme3DP,
-		citadel.Scheme3DPDDS)
+	rs := compare(opt.context(), o, "Symbol8/Across-Channels", "3DP", "3DP+DDS")
 	opt.phase("fig18", "monte-carlo", phaseStart)
 	var b strings.Builder
 	yearCurves(&b, rs)
@@ -593,10 +620,7 @@ func Fig18(opt Options) Report {
 func Fig19(opt Options) Report {
 	o := relOpts(opt, 0, false)
 	phaseStart := time.Now()
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
-		citadel.SchemeBCH6EC7ED,
-		citadel.SchemeRAID5,
-		citadel.Scheme3DPDDS)
+	rs := compare(opt.context(), o, "BCH-6EC7ED", "RAID-5", "3DP+DDS")
 	opt.phase("fig19", "monte-carlo", phaseStart)
 	rs[2].Policy = "Citadel"
 	var b strings.Builder

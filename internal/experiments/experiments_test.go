@@ -151,3 +151,32 @@ func TestRunContextMidSweepCancel(t *testing.T) {
 		t.Error("partial report lost its rows")
 	}
 }
+
+func TestRunContextMidBenchmarkCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	// One benchmark's run alone takes minutes at this request count, so
+	// the report can only come back promptly if cancellation reaches
+	// inside the performance runs.
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	opt := Options{Trials: 2000, Requests: 1 << 30, Seed: 42}
+	start := time.Now()
+	rep, err := RunContext(ctx, "fig15", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled fig15 took %v", elapsed)
+	}
+	if !rep.Partial {
+		t.Error("interrupted fig15 not marked Partial")
+	}
+	if strings.Contains(rep.Text, "GMEAN") {
+		t.Errorf("truncated runs entered the GMEAN:\n%s", rep.Text)
+	}
+}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -30,7 +31,7 @@ func TestResultsIndependentOfParallelism(t *testing.T) {
 		*r *= 40
 	}
 	simulate := func(opts citadel.ReliabilityOptions, scheme string) citadel.Result {
-		res, err := citadel.SimulateScenarioReliability(opts, scheme)
+		res, err := citadel.SimulateScenarioReliabilityContext(context.Background(), opts, scheme)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -73,7 +74,7 @@ func TestResultsIndependentOfParallelism(t *testing.T) {
 		{
 			name: "census",
 			run: func(w int) any {
-				return citadel.RunFaultCensus(citadel.ReliabilityOptions{
+				return citadel.RunFaultCensusContext(context.Background(), citadel.ReliabilityOptions{
 					Rates: hot, Trials: 3000, Seed: 5, Workers: w, TSVSwap: true,
 				})
 			},

@@ -208,7 +208,7 @@ func (s Spec) keyAt(version int) (string, error) {
 }
 
 // validScheme reports whether name resolves in the scenario registry —
-// every citadel.Scheme plus the scenario-only schemes.
+// the paper's schemes plus the scenario-only ones.
 func validScheme(name string) bool {
 	_, ok := scenario.SchemeByName(name)
 	return ok

@@ -1,8 +1,8 @@
 // Differential test: every seed-era scheme built through the scenario
 // registry must produce bit-identical Monte Carlo results to the
 // pre-registry hand-wired construction. The hand-wired policies below
-// replicate, verbatim, the switch that citadel.Scheme.policy contained
-// before the registry refactor; if a registry plugin ever drifts (a
+// replicate, verbatim, the switch the root package's scheme enum
+// contained before the registry refactor; if a registry plugin ever drifts (a
 // different layout, a lost sparer, a renamed policy), the DeepEqual
 // against this frozen construction catches it.
 //
@@ -13,6 +13,7 @@
 package scenario_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -116,7 +117,7 @@ func TestRegistryDifferential(t *testing.T) {
 				Workers:            diffWorkers,
 			}, pol)
 
-			got, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+			got, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 				Rates:   rates,
 				Trials:  diffTrials,
 				TSVSwap: tsvSwap,
@@ -184,7 +185,7 @@ func TestRowhammerEndToEnd(t *testing.T) {
 		},
 	}
 	run := func() citadel.Result {
-		res, err := citadel.SimulateScenarioReliability(opts, "Citadel")
+		res, err := citadel.SimulateScenarioReliabilityContext(context.Background(), opts, "Citadel")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestRowhammerEndToEnd(t *testing.T) {
 // their observer statistics into Result.ScenarioStats.
 func TestNewSchemesEndToEnd(t *testing.T) {
 	for _, name := range []string{"two-tier-replication", "cerberus-cross-layer"} {
-		res, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+		res, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 			Trials: 500, Seed: 7, Workers: 2,
 		}, name)
 		if err != nil {
@@ -226,20 +227,20 @@ func TestNewSchemesEndToEnd(t *testing.T) {
 
 // Unknown scenario selections fail loudly through the public API.
 func TestScenarioErrorsSurface(t *testing.T) {
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{Trials: 1}, "no-such"); err == nil {
+	if _, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{Trials: 1}, "no-such"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, FaultModel: "no-such",
 	}, "Citadel"); err == nil {
 		t.Fatal("unknown fault model accepted")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, RareEvent: true, FaultModel: "rowhammer",
 	}, "Citadel"); err == nil {
 		t.Fatal("rare-event engine accepted a non-poisson fault model")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.SimulateScenarioReliabilityContext(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, ScenarioParams: map[string]float64{"bogus": 1},
 	}, "Citadel"); err == nil {
 		t.Fatal("unknown scenario parameter accepted")

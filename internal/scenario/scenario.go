@@ -8,10 +8,10 @@
 // arrival-process factory (faultsim.Arrivals, one instance per engine
 // worker) from the geometry, the FIT rates, and the same parameter map.
 // The existing hand-wired constructions became the first plugins: every
-// citadel.Scheme is registered under its String() name (schemes.go) and
-// the Poisson FIT-rate process is the "poisson" fault model, so registry
-// construction is bit-identical to the seed-era wiring (differential
-// tests pin this).
+// seed-era scheme is registered under the name the paper's figures use
+// (schemes.go) and the Poisson FIT-rate process is the "poisson" fault
+// model, so registry construction is bit-identical to the seed-era wiring
+// (differential tests pin this).
 //
 // Composition rules: a simulation names one scheme and one fault model;
 // they share a flat Params namespace whose keys are validated against the

@@ -11,8 +11,7 @@ import (
 	"repro/internal/stack"
 )
 
-// The twelve seed-era scheme names, exactly as citadel.Scheme.String()
-// prints them.
+// The twelve seed-era scheme names, as the paper's figures print them.
 var seedSchemes = []string{
 	"None", "Symbol8/Same-Bank", "Symbol8/Across-Banks", "Symbol8/Across-Channels",
 	"1DP", "2DP", "3DP", "3DP+DDS", "Citadel", "BCH-6EC7ED", "RAID-5", "2D-ECC",
