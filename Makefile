@@ -41,14 +41,15 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Host-independence gate: the engine packages must pass at one and at
-# four Ps. Seeded results are a pure function of (spec, seed), so any
-# test that pins a value and passes at one setting but not the other
-# has found a result that leaks the host's core count. -count=1 because
-# the test cache ignores GOMAXPROCS.
+# Host-independence gate: the engine packages must pass at one, two
+# (the reference host's width) and four Ps. Seeded results are a pure
+# function of (spec, seed), so any test that pins a value and passes at
+# one setting but not another has found a result that leaks the host's
+# core count. -count=1 because the test cache ignores GOMAXPROCS.
 DETERMINISM_PKGS = ./internal/faultsim ./internal/rare ./internal/scenario ./internal/jobs ./internal/cluster
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 $(DETERMINISM_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=1 $(DETERMINISM_PKGS)
 	GOMAXPROCS=4 $(GO) test -count=1 $(DETERMINISM_PKGS)
 
 # Fuzz smoke: run every Fuzz* target of the fuzzed packages for ten
@@ -113,7 +114,7 @@ scenario-smoke:
 # `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
 # keep two reports around to benchstat before/after a change.
 bench.out:
-	$(GO) test -run xxx -count=5 -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
+	$(GO) test -run xxx -count=5 -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd|BenchmarkShortCampaigns' \
 		-benchmem ./internal/faultsim/ > bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
 	$(GO) test -run xxx -count=5 -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -34,9 +35,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// replayForensics loads a forensics report, replays every exemplar, and
-// prints the verdicts. Returns an exit code.
-func replayForensics(path string) int {
+// replayForensics loads a forensics report, replays every exemplar once,
+// and prints to w each verdict of the full comparison VerifyReport makes
+// (faults, cause, mode, failure time and reasons). Returns an exit code:
+// 1 when any exemplar fails to reproduce exactly.
+func replayForensics(w io.Writer, path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -47,49 +50,44 @@ func replayForensics(path string) int {
 		fmt.Fprintf(os.Stderr, "parsing %s: %v\n", path, err)
 		return 2
 	}
-	fmt.Printf("report: run=%s scheme=%s seed=%d trials=%d failures=%d\n",
+	fmt.Fprintf(w, "report: run=%s scheme=%s seed=%d trials=%d failures=%d\n",
 		report.RunID, report.Scheme, report.Seed, report.Trials, report.Failures)
 	if len(report.Breakdown) > 0 {
-		fmt.Println("failure breakdown:")
+		fmt.Fprintln(w, "failure breakdown:")
 		for mode, n := range report.Breakdown {
-			fmt.Printf("  %-28s %d\n", mode, n)
+			fmt.Fprintf(w, "  %-28s %d\n", mode, n)
 		}
 	}
 	if len(report.Exemplars) == 0 {
-		fmt.Println("no exemplars to replay")
+		fmt.Fprintln(w, "no exemplars to replay")
 		return 0
 	}
-	opts := report.Options()
-	failed := false
-	for i, ex := range report.Exemplars {
-		got, ok, err := citadel.ReplayExemplar(opts, report.Scheme, ex)
+	replays, err := citadel.ReplayReport(report)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	code := 0
+	for i, rp := range replays {
+		ex := report.Exemplars[i]
 		switch {
-		case err != nil:
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		case !ok:
-			fmt.Printf("exemplar %d: NOT REPRODUCED (%s)\n", i, ex)
-			failed = true
-		case got.Mode != ex.Mode || got.FailureHours != ex.FailureHours:
-			fmt.Printf("exemplar %d: DIVERGED got=(%s %.0fh) want=(%s %.0fh)\n",
-				i, got.Mode, got.FailureHours, ex.Mode, ex.FailureHours)
-			failed = true
+		case !rp.Failed:
+			fmt.Fprintf(w, "exemplar %d: NOT REPRODUCED (%s)\n", i, ex)
+			code = 1
+		case rp.Err != nil:
+			fmt.Fprintf(w, "exemplar %d: DIVERGED %v\n", i, rp.Err)
+			code = 1
 		default:
-			fmt.Printf("exemplar %d: reproduced %s at %.0fh; reasons:\n", i, ex.Mode, ex.FailureHours)
-			for _, r := range got.Reasons {
-				fmt.Printf("    %-24s %s\n", r.Code, r.Detail)
+			fmt.Fprintf(w, "exemplar %d: reproduced %s at %.0fh; reasons:\n", i, ex.Mode, ex.FailureHours)
+			for _, r := range rp.Got.Reasons {
+				fmt.Fprintf(w, "    %-24s %s\n", r.Code, r.Detail)
 			}
 		}
 	}
-	if err := citadel.VerifyReport(report); err != nil {
-		fmt.Fprintf(os.Stderr, "verification: %v\n", err)
-		return 1
+	if code == 0 {
+		fmt.Fprintf(w, "all %d exemplars reproduced exactly\n", len(report.Exemplars))
 	}
-	if failed {
-		return 1
-	}
-	fmt.Printf("all %d exemplars reproduced exactly\n", len(report.Exemplars))
-	return 0
+	return code
 }
 
 func main() {
@@ -105,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	if *forensics != "" {
-		os.Exit(replayForensics(*forensics))
+		os.Exit(replayForensics(os.Stdout, *forensics))
 	}
 
 	opt := experiments.DefaultOptions()

@@ -23,9 +23,9 @@
 //
 // -forensics writes a replayable failure-forensics report (feed it to
 // citadel-repro -forensics to verify); the report records neither the
-// fault model nor plugin knobs, so it requires the default fault model
-// and no -scenario-param. -split likewise requires the default fault
-// model. -trace writes the flight recorder as Chrome trace-event JSON
+// fault model, plugin knobs nor any rate but the TSV FIT, so it requires
+// the default fault model, no -scenario-param and no -rates file that
+// differs from Table I. -split requires the default fault model. -trace writes the flight recorder as Chrome trace-event JSON
 // (open in Perfetto / chrome://tracing).
 //
 // -job-dir runs the campaign durably: progress is checkpointed to a
@@ -261,6 +261,14 @@ func main() {
 		BiasFactor:         *biasFactor,
 		FaultModel:         *faultModel,
 		ScenarioParams:     scenarioParams,
+	}
+	// Refuse a forensics run whose report could not replay before any
+	// trial runs.
+	if *forensics != "" {
+		if _, err := citadel.NewForensicsReport(opts, *schemeName, citadel.Result{}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	if *traceOut != "" {
 		opts.Trace = trace.New(trace.Options{

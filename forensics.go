@@ -1,6 +1,7 @@
 package citadel
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ecc"
@@ -35,14 +36,19 @@ type ForensicsReport struct {
 }
 
 // NewForensicsReport assembles the report for a completed forensics run
-// of the named scheme. A report records neither the fault model nor the
-// scenario parameters, so it refuses runs whose exemplars it could not
-// replay: an unknown scheme, a non-default fault model, or any
-// ScenarioParams.
+// of the named scheme. A report records neither the fault model, the
+// scenario parameters nor any rate but the TSV FIT, so it refuses runs
+// whose exemplars it could not replay: an unknown scheme, a non-default
+// fault model, any ScenarioParams, or rates other than Table I's with a
+// custom TSV FIT. Called with a zero Result before a run, it checks the
+// options up front.
 func NewForensicsReport(opts ReliabilityOptions, scheme string, res Result) (ForensicsReport, error) {
 	opts = opts.withDefaults()
 	if len(opts.ScenarioParams) > 0 {
 		return ForensicsReport{}, fmt.Errorf("citadel: a forensics report does not record scenario parameters")
+	}
+	if opts.Rates != Table1Rates().WithTSV(opts.Rates.TSVPerDie) {
+		return ForensicsReport{}, fmt.Errorf("citadel: a forensics report records only the TSV FIT; the other rates must be Table I's")
 	}
 	if _, _, err := opts.scenarioSetup(scheme, true); err != nil {
 		return ForensicsReport{}, err
@@ -94,22 +100,54 @@ func ReplayExemplar(opts ReliabilityOptions, scheme string, ex Forensic) (Forens
 	return got, ok, nil
 }
 
+// Replay is the outcome of replaying one exemplar of a report.
+type Replay struct {
+	// Got is the replayed record; zero when the trial did not fail.
+	Got Forensic
+	// Failed reports that the replayed trial failed at all.
+	Failed bool
+	// Err is nil when the replay reproduces the exemplar's faults, cause,
+	// mode, failure time and reasons exactly, and names the first
+	// difference otherwise.
+	Err error
+}
+
+// ReplayReport replays every exemplar of a report once, under the
+// report's options, and returns one Replay per exemplar, or the error
+// resolving the report's scheme.
+func ReplayReport(r ForensicsReport) ([]Replay, error) {
+	pol, eo, err := r.Options().scenarioSetup(r.Scheme, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Replay, len(r.Exemplars))
+	for i, ex := range r.Exemplars {
+		rp := &out[i]
+		rp.Got, rp.Failed = faultsim.ReplayForensic(eo, pol, ex)
+		if rp.Failed {
+			rp.Err = diffForensic(rp.Got, ex)
+		} else {
+			rp.Err = errors.New("the replayed trial did not fail")
+		}
+	}
+	return out, nil
+}
+
 // VerifyReport replays every exemplar of a report and returns an error
 // describing the first divergence (nil when all exemplars reproduce their
 // recorded fault sets and verdicts exactly), or the error resolving the
 // report's scheme.
 func VerifyReport(r ForensicsReport) error {
-	pol, eo, err := r.Options().scenarioSetup(r.Scheme, true)
+	replays, err := ReplayReport(r)
 	if err != nil {
 		return err
 	}
-	for i, ex := range r.Exemplars {
-		got, ok := faultsim.ReplayForensic(eo, pol, ex)
-		if !ok {
-			return fmt.Errorf("exemplar %d (%s) did not reproduce a failure", i, ex)
-		}
-		if err := diffForensic(got, ex); err != nil {
-			return fmt.Errorf("exemplar %d diverges: %w", i, err)
+	for i, rp := range replays {
+		switch {
+		case !rp.Failed:
+			return fmt.Errorf("exemplar %d (%s) did not reproduce a failure", i, r.Exemplars[i])
+		case rp.Err != nil:
+			return fmt.Errorf("exemplar %d diverges: %w", i, rp.Err)
 		}
 	}
 	return nil

@@ -3,7 +3,11 @@ package citadel
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // A forensics run's report survives a JSON round trip and replays every
@@ -74,6 +78,42 @@ func TestForensicsReportRefusesUnrecordedScenario(t *testing.T) {
 		if _, err := NewForensicsReport(opts, "Citadel", Result{}); err == nil {
 			t.Errorf("report accepted %+v", opts)
 		}
+	}
+}
+
+// A report records only the TSV FIT, so it refuses a rates file at 50×
+// Table I, whose exemplars would replay at Table-I rates and diverge,
+// but accepts one that is Table I with another TSV FIT.
+func TestForensicsReportRefusesCustomRates(t *testing.T) {
+	load := func(r FITRates) FITRates {
+		t.Helper()
+		data, err := fault.MarshalRates(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "rates.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := fault.LoadRates(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	r := Table1Rates()
+	for _, p := range []*float64{
+		&r.BitTransient, &r.BitPermanent, &r.WordTransient, &r.WordPermanent,
+		&r.ColumnTransient, &r.ColumnPermanent, &r.RowTransient, &r.RowPermanent,
+		&r.BankTransient, &r.BankPermanent, &r.TSVPerDie,
+	} {
+		*p *= 50
+	}
+	if _, err := NewForensicsReport(ReliabilityOptions{Rates: load(r)}, "3DP", Result{}); err == nil {
+		t.Error("report accepted rates at 50x Table I")
+	}
+	if _, err := NewForensicsReport(ReliabilityOptions{Rates: load(Table1Rates().WithTSV(1430))}, "3DP", Result{}); err != nil {
+		t.Errorf("report refused Table I at 1430 TSV FIT: %v", err)
 	}
 }
 

@@ -184,7 +184,7 @@ func (s *Symbol8) lineBits() int { return s.cfg.LineBytes * 8 }
 func (s *Symbol8) metaDie() int  { return s.cfg.DataDies }
 
 // isMetaDie reports whether the footprint lies in the metadata die.
-func (s *Symbol8) isMetaDie(r fault.Region) bool {
+func (s *Symbol8) isMetaDie(r *fault.Region) bool {
 	return r.Die.CountBelow(uint32(s.cfg.DataDies)) == 0 &&
 		r.Die.Contains(uint32(s.metaDie()))
 }
@@ -199,8 +199,8 @@ type damage struct {
 }
 
 // assess computes the damage of one fault under the configured striping.
-func (s *Symbol8) assess(f fault.Fault) damage {
-	meta := s.isMetaDie(f.Region)
+func (s *Symbol8) assess(f *fault.Fault) damage {
+	meta := s.isMetaDie(&f.Region)
 	lineSymbols := s.cfg.LineBytes // 64 symbols for a 64B line
 	switch s.striping {
 	case stack.SameBank:
@@ -275,8 +275,8 @@ func (s *Symbol8) assess(f fault.Fault) damage {
 // Uncorrectable implements Predicate.
 func (s *Symbol8) Uncorrectable(live []fault.Fault) bool {
 	ds := make([]damage, len(live))
-	for i, f := range live {
-		d := s.assess(f)
+	for i := range live {
+		d := s.assess(&live[i])
 		ds[i] = d
 		// Single-fault rule: corruption confined to one unit is always
 		// erasable under the striped layouts; under Same-Bank there is no
@@ -295,11 +295,11 @@ func (s *Symbol8) Uncorrectable(live []fault.Fault) bool {
 	}
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
-			if s.pairFails(live[i], ds[i], live[j], ds[j]) {
+			if s.pairFails(&live[i], ds[i], &live[j], ds[j]) {
 				return true
 			}
 			if s.DeviceGranular && s.striping != stack.SameBank &&
-				s.deviceGranularPairFails(live[i], live[j]) {
+				s.deviceGranularPairFails(&live[i], &live[j]) {
 				return true
 			}
 		}
@@ -310,7 +310,7 @@ func (s *Symbol8) Uncorrectable(live []fault.Fault) bool {
 // deviceGranularPairFails implements the coarse bookkeeping: two
 // permanently faulty units in the same codeword domain (same stack for
 // Across-Channels; same die for Across-Banks) are booked as failure.
-func (s *Symbol8) deviceGranularPairFails(fa, fb fault.Fault) bool {
+func (s *Symbol8) deviceGranularPairFails(fa, fb *fault.Fault) bool {
 	if fa.Persistence != fault.Permanent || fb.Persistence != fault.Permanent {
 		return false
 	}
@@ -331,7 +331,7 @@ func (s *Symbol8) deviceGranularPairFails(fa, fb fault.Fault) bool {
 
 // pairFails reports whether two individually-correctable faults can defeat
 // the code on a common codeword.
-func (s *Symbol8) pairFails(fa fault.Fault, da damage, fb fault.Fault, db damage) bool {
+func (s *Symbol8) pairFails(fa *fault.Fault, da damage, fb *fault.Fault, db damage) bool {
 	if fa.Region.Stack != fb.Region.Stack {
 		return false
 	}
@@ -351,8 +351,8 @@ func (s *Symbol8) pairFails(fa fault.Fault, da damage, fb fault.Fault, db damage
 
 // sameLinePossible: can the two faults corrupt the same Same-Bank codeword
 // (a line plus its metadata ECC slice)?
-func (s *Symbol8) sameLinePossible(fa fault.Fault, da damage, fb fault.Fault, db damage) bool {
-	a, b := fa.Region, fb.Region
+func (s *Symbol8) sameLinePossible(fa *fault.Fault, da damage, fb *fault.Fault, db damage) bool {
+	a, b := &fa.Region, &fb.Region
 	lineB := s.lineBits()
 	// A data-TSV transfer fault hits every line of its channel: co-located
 	// with any fault in the same die.
@@ -406,8 +406,8 @@ func (s *Symbol8) sameLinePossible(fa fault.Fault, da damage, fb fault.Fault, db
 
 // acrossBanksPairHits: can the two faults corrupt two different units of a
 // common Across-Banks codeword?
-func (s *Symbol8) acrossBanksPairHits(fa fault.Fault, da damage, fb fault.Fault, db damage) bool {
-	a, b := fa.Region, fb.Region
+func (s *Symbol8) acrossBanksPairHits(fa *fault.Fault, da damage, fb *fault.Fault, db damage) bool {
+	a, b := &fa.Region, &fb.Region
 	sliceBits := s.lineBits() / s.cfg.BanksPerDie
 	// TSV transfer faults co-locate with every line of the channel and
 	// occupy their own units.
@@ -446,8 +446,8 @@ func (s *Symbol8) acrossBanksPairHits(fa fault.Fault, da damage, fb fault.Fault,
 
 // acrossChannelsPairHits: can the two faults corrupt two different dies of
 // a common Across-Channels codeword?
-func (s *Symbol8) acrossChannelsPairHits(fa fault.Fault, da damage, fb fault.Fault, db damage) bool {
-	a, b := fa.Region, fb.Region
+func (s *Symbol8) acrossChannelsPairHits(fa *fault.Fault, da damage, fb *fault.Fault, db damage) bool {
+	a, b := &fa.Region, &fb.Region
 	dies := s.cfg.DataDies + s.cfg.ECCDies
 	if !distinctValuesAvailable(a.Die, b.Die, dies) {
 		return false
@@ -480,7 +480,7 @@ func (b *BCH6EC7ED) Name() string { return "BCH-6EC7ED" }
 
 // bitsPerLine is the worst-case corrupted bits per line for a fault
 // (closed form by class).
-func (b *BCH6EC7ED) bitsPerLine(f fault.Fault) int {
+func (b *BCH6EC7ED) bitsPerLine(f *fault.Fault) int {
 	switch f.Class {
 	case fault.DataTSV:
 		return b.cfg.BurstLength
@@ -498,8 +498,8 @@ func (b *BCH6EC7ED) bitsPerLine(f fault.Fault) int {
 // Uncorrectable implements Predicate.
 func (b *BCH6EC7ED) Uncorrectable(live []fault.Fault) bool {
 	bits := make([]int, len(live))
-	for i, f := range live {
-		bits[i] = b.bitsPerLine(f)
+	for i := range live {
+		bits[i] = b.bitsPerLine(&live[i])
 		if bits[i] > b.BitBudget {
 			return true
 		}

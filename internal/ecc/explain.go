@@ -92,7 +92,7 @@ func (s *Symbol8) Explain(live []fault.Fault) []Reason {
 	var out []Reason
 	ds := make([]damage, len(live))
 	for i, f := range live {
-		d := s.assess(f)
+		d := s.assess(&live[i])
 		ds[i] = d
 		single := false
 		switch s.striping {
@@ -111,7 +111,7 @@ func (s *Symbol8) Explain(live []fault.Fault) []Reason {
 	}
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
-			if s.pairFails(live[i], ds[i], live[j], ds[j]) {
+			if s.pairFails(&live[i], ds[i], &live[j], ds[j]) {
 				out = append(out, Reason{
 					Code: ReasonSymbolPair,
 					Detail: fmt.Sprintf("faults #%d (%s) and #%d (%s) share a codeword: %d+%d symbols exceed budget %d",
@@ -119,7 +119,7 @@ func (s *Symbol8) Explain(live []fault.Fault) []Reason {
 				})
 			}
 			if s.DeviceGranular && s.striping != stack.SameBank &&
-				s.deviceGranularPairFails(live[i], live[j]) {
+				s.deviceGranularPairFails(&live[i], &live[j]) {
 				out = append(out, Reason{
 					Code: ReasonDeviceGranularPair,
 					Detail: fmt.Sprintf("faults #%d (%s) and #%d (%s) mark two permanently faulty units in one codeword domain",
@@ -136,7 +136,7 @@ func (b *BCH6EC7ED) Explain(live []fault.Fault) []Reason {
 	var out []Reason
 	bits := make([]int, len(live))
 	for i, f := range live {
-		bits[i] = b.bitsPerLine(f)
+		bits[i] = b.bitsPerLine(&live[i])
 		if bits[i] > b.BitBudget {
 			out = append(out, Reason{
 				Code: ReasonBCHBudget,

@@ -56,8 +56,8 @@ type IncrementalPredicate interface {
 // recomputes it) plus the single-fault verdict; pair is the symmetric
 // two-fault rule.
 type pairCounter[A any] struct {
-	assess func(f fault.Fault) (A, bool)
-	pair   func(fa fault.Fault, aa A, fb fault.Fault, ab A) bool
+	assess func(f *fault.Fault) (A, bool)
+	pair   func(fa *fault.Fault, aa A, fb *fault.Fault, ab A) bool
 
 	faults  []fault.Fault
 	anns    []A
@@ -76,14 +76,19 @@ func (pc *pairCounter[A]) Reset() {
 	pc.nPair = 0
 }
 
+// Add appends f first and assesses the stored copy: the closures take
+// pointers, and a pointer to the parameter would escape, costing an
+// allocation per call.
 func (pc *pairCounter[A]) Add(f fault.Fault) bool {
-	ann, bad := pc.assess(f)
-	for j := range pc.faults {
-		if pc.pair(pc.faults[j], pc.anns[j], f, ann) {
+	n := len(pc.faults)
+	pc.faults = append(pc.faults, f)
+	fn := &pc.faults[n]
+	ann, bad := pc.assess(fn)
+	for j := 0; j < n; j++ {
+		if pc.pair(&pc.faults[j], pc.anns[j], fn, ann) {
 			pc.nPair++
 		}
 	}
-	pc.faults = append(pc.faults, f)
 	pc.anns = append(pc.anns, ann)
 	pc.single = append(pc.single, bad)
 	if bad {
@@ -98,7 +103,7 @@ func (pc *pairCounter[A]) Remove(f fault.Fault) bool {
 			continue
 		}
 		for j := range pc.faults {
-			if j != i && pc.pair(pc.faults[j], pc.anns[j], pc.faults[i], pc.anns[i]) {
+			if j != i && pc.pair(&pc.faults[j], pc.anns[j], &pc.faults[i], pc.anns[i]) {
 				pc.nPair--
 			}
 		}
@@ -122,7 +127,7 @@ func (pc *pairCounter[A]) Remove(f fault.Fault) bool {
 // pairFails plus the optional device-granular bookkeeping.
 func (s *Symbol8) Begin() IncrementalState {
 	return &pairCounter[damage]{
-		assess: func(f fault.Fault) (damage, bool) {
+		assess: func(f *fault.Fault) (damage, bool) {
 			d := s.assess(f)
 			switch s.striping {
 			case stack.SameBank:
@@ -131,7 +136,7 @@ func (s *Symbol8) Begin() IncrementalState {
 				return d, d.units >= 2 && d.symbols > s.SymbolBudget
 			}
 		},
-		pair: func(fa fault.Fault, da damage, fb fault.Fault, db damage) bool {
+		pair: func(fa *fault.Fault, da damage, fb *fault.Fault, db damage) bool {
 			if s.pairFails(fa, da, fb, db) {
 				return true
 			}
@@ -144,11 +149,11 @@ func (s *Symbol8) Begin() IncrementalState {
 // Begin implements IncrementalPredicate.
 func (b *BCH6EC7ED) Begin() IncrementalState {
 	return &pairCounter[int]{
-		assess: func(f fault.Fault) (int, bool) {
+		assess: func(f *fault.Fault) (int, bool) {
 			bits := b.bitsPerLine(f)
 			return bits, bits > b.BitBudget
 		},
-		pair: func(fa fault.Fault, ba int, fb fault.Fault, bb int) bool {
+		pair: func(fa *fault.Fault, ba int, fb *fault.Fault, bb int) bool {
 			return ba+bb > b.BitBudget && b.pairColocated(fa, fb)
 		},
 	}
@@ -156,8 +161,8 @@ func (b *BCH6EC7ED) Begin() IncrementalState {
 
 // pairColocated is the colocation test from the batch BCH pair loop,
 // factored for the incremental path.
-func (b *BCH6EC7ED) pairColocated(fa, fb fault.Fault) bool {
-	ai, aj := fa.Region, fb.Region
+func (b *BCH6EC7ED) pairColocated(fa, fb *fault.Fault) bool {
+	ai, aj := &fa.Region, &fb.Region
 	if ai.Stack != aj.Stack {
 		return false
 	}
@@ -173,10 +178,10 @@ func (b *BCH6EC7ED) pairColocated(fa, fb fault.Fault) bool {
 // Begin implements IncrementalPredicate.
 func (e *TwoDECC) Begin() IncrementalState {
 	return &pairCounter[struct{}]{
-		assess: func(f fault.Fault) (struct{}, bool) {
+		assess: func(f *fault.Fault) (struct{}, bool) {
 			return struct{}{}, e.singleFaultFatal(f)
 		},
-		pair: func(fa fault.Fault, _ struct{}, fb fault.Fault, _ struct{}) bool {
+		pair: func(fa *fault.Fault, _ struct{}, fb *fault.Fault, _ struct{}) bool {
 			return e.pairHitsSameTile(fa, fb)
 		},
 	}
@@ -184,7 +189,7 @@ func (e *TwoDECC) Begin() IncrementalState {
 
 // pairHitsSameTile is the tile-colocation test from the batch TwoDECC pair
 // loop, factored for the incremental path.
-func (e *TwoDECC) pairHitsSameTile(a, b fault.Fault) bool {
+func (e *TwoDECC) pairHitsSameTile(a, b *fault.Fault) bool {
 	if a.Region.Stack != b.Region.Stack {
 		return false
 	}
@@ -214,8 +219,8 @@ func (p *ParityPredicate) Begin() IncrementalState {
 	return &parityState{st: p.an.NewState()}
 }
 
-func (s *parityState) Add(f fault.Fault) bool    { return s.st.Add(f.Region) }
-func (s *parityState) Remove(f fault.Fault) bool { return s.st.Remove(f.Region) }
+func (s *parityState) Add(f fault.Fault) bool    { return s.st.Add(&f.Region) }
+func (s *parityState) Remove(f fault.Fault) bool { return s.st.Remove(&f.Region) }
 func (s *parityState) Reset()                    { s.st.Reset() }
 func (s *parityState) Uncorrectable() bool       { return s.st.Uncorrectable() }
 
@@ -228,7 +233,7 @@ func (r *RAID5) Begin() IncrementalState { return r.inner.Begin() }
 // bookkeeping gives "uncorrectable iff any fault is live".
 func (NoProtection) Begin() IncrementalState {
 	return &pairCounter[struct{}]{
-		assess: func(fault.Fault) (struct{}, bool) { return struct{}{}, true },
-		pair:   func(fault.Fault, struct{}, fault.Fault, struct{}) bool { return false },
+		assess: func(*fault.Fault) (struct{}, bool) { return struct{}{}, true },
+		pair:   func(*fault.Fault, struct{}, *fault.Fault, struct{}) bool { return false },
 	}
 }

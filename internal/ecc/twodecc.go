@@ -30,7 +30,7 @@ func (e *TwoDECC) Name() string { return "2D-ECC" }
 // singleFaultFatal reports whether one fault alone defeats the tile code:
 // anything touching more than one row AND more than one column of some
 // tile (the two parity directions cannot isolate a 2D extent).
-func (e *TwoDECC) singleFaultFatal(f fault.Fault) bool {
+func (e *TwoDECC) singleFaultFatal(f *fault.Fault) bool {
 	switch f.Class {
 	case fault.Bit, fault.Word, fault.Row:
 		// Confined to one row segment per tile: correctable by vertical
@@ -56,8 +56,8 @@ func (e *TwoDECC) singleFaultFatal(f fault.Fault) bool {
 // same tile: same (die, bank), rows within the same BlockDim-row band, and
 // columns within the same BlockDim-bit band.
 func (e *TwoDECC) Uncorrectable(live []fault.Fault) bool {
-	for _, f := range live {
-		if e.singleFaultFatal(f) {
+	for i := range live {
+		if e.singleFaultFatal(&live[i]) {
 			return true
 		}
 	}

@@ -592,7 +592,7 @@ func (d *draws) intn(n uint32) uint32 {
 // bank) — (stack, die) for the channel-wide TSV classes — then the row,
 // column, word, sub-array or TSV coordinates of the class.
 func (s *Sampler) place(src *draws, f *Fault, c Class, p Persistence) {
-	cfg := s.cfg
+	cfg := &s.cfg
 	f.Class, f.Persistence = c, p
 	reg := &f.Region
 	if c.IsTSV() {

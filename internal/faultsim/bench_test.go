@@ -44,6 +44,22 @@ func BenchmarkTrialsIncremental(b *testing.B) { benchRun(b, false) }
 // speedup baseline.
 func BenchmarkTrialsBatch(b *testing.B) { benchRun(b, true) }
 
+// BenchmarkShortCampaigns runs back-to-back 20000-trial Citadel
+// campaigns at Table-I rates with one worker per P, the shape of the
+// citbench sweep: at one to two milliseconds a campaign, how soon its
+// workers start and how evenly they finish weigh as much as the kernel.
+func BenchmarkShortCampaigns(b *testing.B) {
+	opt := Options{Config: stack.DefaultConfig(), Rates: fault.Table1(), Trials: 20000}
+	pol := benchPolicy(opt.Config)
+	trials := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Seed = int64(i)
+		trials += Run(opt, pol).Trials
+	}
+	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
+}
+
 // BenchmarkTrialStateRun isolates the trial loop from sampling: replay a
 // fixed multi-fault lifetime through ts.run.
 func BenchmarkTrialStateRun(b *testing.B) {
@@ -79,7 +95,7 @@ func benchParityStateAdd(b *testing.B, rateScale float64) {
 	for i := 0; i < b.N; i++ {
 		st.Reset()
 		for _, f := range seqs[i%len(seqs)] {
-			if st.Add(f.Region) {
+			if st.Add(&f.Region) {
 				break
 			}
 		}

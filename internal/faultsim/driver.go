@@ -39,12 +39,17 @@ type TrialLoop struct {
 	first int
 }
 
-// RunTrials runs opt.Trials trials over opt.Workers goroutines, each on a
-// contiguous slice of the trial indices. Trial i draws from its own
-// stream, deriveSeed(opt.Seed, i), so the result is a pure function of
-// (options, seed) whatever the worker count. It returns the completed
-// trial and failure counts, plus ctx's error if ctx cut the run short;
-// opt.Progress sees periodic snapshots and one final snapshot.
+// RunTrials runs opt.Trials trials over up to opt.Workers workers. The
+// calling goroutine is worker 0 and spawns the others; every worker
+// claims blocks of consecutive trial indices from one shared cursor until
+// none are left, so a worker that starts late or runs slow trials simply
+// claims fewer blocks. Trial i draws from its own stream,
+// deriveSeed(opt.Seed, i), so the result is a pure function of (options,
+// seed) whatever the worker count or schedule. A worker claims its blocks
+// in increasing order, so its first K failures include every one of the
+// run's first K that it ran. It returns the completed trial and failure
+// counts, plus ctx's error if ctx cut the run short; opt.Progress sees
+// periodic snapshots and one final snapshot.
 func RunTrials(ctx context.Context, opt Options, loop TrialLoop, newWorker func(worker int) TrialWorker) (trials, failures int, err error) {
 	opt = opt.withDefaults()
 	var streams uint64
@@ -54,6 +59,7 @@ func RunTrials(ctx context.Context, opt Options, loop TrialLoop, newWorker func(
 	// Shared run state in one allocation. Workers flush tallies into the
 	// counters every cancelCheckInterval trials, not per trial.
 	var run struct {
+		next                     atomic.Int64 // first unclaimed trial, relative to loop.first
 		trials, failures, scrubs atomic.Int64
 		mu                       sync.Mutex
 		workers, reporter        sync.WaitGroup
@@ -93,35 +99,44 @@ func RunTrials(ctx context.Context, opt Options, loop TrialLoop, newWorker func(
 		}()
 	}
 
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	for lo := 0; lo < opt.Trials; lo += per {
-		run.workers.Add(1)
-		go func(worker, lo, hi int) {
-			defer run.workers.Done()
-			tw := newWorker(worker)
-			src := &trialSource{}
-			rng := rand.New(src)
-			// Read the invariants once: a heap read per trial can share a
-			// cache line with another worker's writes.
-			seed, streams := opt.Seed, streams
-			var done, failed, flushedDone, flushedFailed int
-			var flushedScrubs int64
-			flush := func() {
-				scrubs := tw.Scrubs()
-				dt, df, ds := int64(done-flushedDone), int64(failed-flushedFailed), scrubs-flushedScrubs
-				run.trials.Add(dt)
-				run.failures.Add(df)
-				run.scrubs.Add(ds)
-				addCount(loop.Trials, dt)
-				addCount(loop.Failures, df)
-				addCount(loop.Scrubs, ds)
-				flushedDone, flushedFailed, flushedScrubs = done, failed, scrubs
+	// About 32 blocks per worker: small enough that a late or slow worker
+	// costs the run little, large enough that claims stay rare.
+	n := opt.Trials
+	block := min(max(n/(opt.Workers*32), 1), cancelCheckInterval)
+	work := func(worker int) {
+		tw := newWorker(worker)
+		if wrapWorker != nil {
+			tw = wrapWorker(worker, tw)
+		}
+		src := &trialSource{}
+		rng := rand.New(src)
+		// Read the invariants once: a heap read per trial can share a
+		// cache line with another worker's writes.
+		seed, streams, first := opt.Seed, streams, loop.first
+		var done, failed, flushedDone, flushedFailed int
+		var flushedScrubs int64
+		flush := func() {
+			scrubs := tw.Scrubs()
+			dt, df, ds := int64(done-flushedDone), int64(failed-flushedFailed), scrubs-flushedScrubs
+			run.trials.Add(dt)
+			run.failures.Add(df)
+			run.scrubs.Add(ds)
+			addCount(loop.Trials, dt)
+			addCount(loop.Failures, df)
+			addCount(loop.Scrubs, ds)
+			flushedDone, flushedFailed, flushedScrubs = done, failed, scrubs
+		}
+	claim:
+		for {
+			lo := int(run.next.Add(int64(block))) - block
+			if lo >= n {
+				break
 			}
-			for i := lo; i < hi; i++ {
+			for i, hi := first+lo, first+min(lo+block, n); i < hi; i++ {
 				if done%cancelCheckInterval == 0 {
 					flush()
 					if ctx.Err() != nil {
-						break
+						break claim
 					}
 				}
 				done++
@@ -130,11 +145,21 @@ func RunTrials(ctx context.Context, opt Options, loop TrialLoop, newWorker func(
 					failed++
 				}
 			}
-			flush()
-			run.mu.Lock()
-			tw.Fold()
-			run.mu.Unlock()
-		}(lo/per, loop.first+lo, loop.first+min(lo+per, opt.Trials))
+		}
+		flush()
+		run.mu.Lock()
+		tw.Fold()
+		run.mu.Unlock()
+	}
+	if n > 0 {
+		for w := 1; w < min(opt.Workers, (n+block-1)/block); w++ {
+			run.workers.Add(1)
+			go func() {
+				defer run.workers.Done()
+				work(w)
+			}()
+		}
+		work(0)
 	}
 	run.workers.Wait()
 	close(quit)
@@ -148,6 +173,10 @@ func RunTrials(ctx context.Context, opt Options, loop TrialLoop, newWorker func(
 	}
 	return trials, failures, err
 }
+
+// wrapWorker, when non-nil, wraps every worker RunTrials builds. Tests
+// set it to record and skew the schedule; it is nil otherwise.
+var wrapWorker func(worker int, tw TrialWorker) TrialWorker
 
 func addCount(c *obs.Counter, n int64) {
 	if c != nil {

@@ -488,8 +488,8 @@ func (ts *trialState) reset() {
 func (ts *trialState) doScrub() {
 	ts.scrubs++
 	if ts.inc != nil {
-		for _, f := range ts.liveTrans {
-			ts.inc.Remove(f)
+		for i := range ts.liveTrans {
+			ts.inc.Remove(ts.liveTrans[i])
 		}
 	}
 	ts.liveTrans = ts.liveTrans[:0]
@@ -515,14 +515,14 @@ func (ts *trialState) doScrub() {
 				drop[i] = true
 			}
 			kept := ts.livePerm[:0]
-			for j, f := range ts.livePerm {
+			for j := range ts.livePerm {
 				if drop[j] {
 					if ts.inc != nil {
-						ts.inc.Remove(f)
+						ts.inc.Remove(ts.livePerm[j])
 					}
 					continue
 				}
-				kept = append(kept, f)
+				kept = append(kept, ts.livePerm[j])
 			}
 			ts.livePerm = kept
 			changed = true
@@ -547,31 +547,32 @@ func (ts *trialState) liveFaults() []fault.Fault {
 // fault whose arrival made the state uncorrectable.
 func (ts *trialState) run(faults []fault.Fault) (float64, fault.Class) {
 	ts.reset()
-	for _, f := range faults {
+	for i := range faults {
+		f := &faults[i]
 		scrubIdx := int(f.Hours / ts.scrub)
 		if scrubIdx > ts.lastScrub {
 			ts.doScrub()
 			ts.lastScrub = scrubIdx
 		}
 		if ts.swapper != nil && f.Class.IsTSV() {
-			if _, repaired := ts.swapper.Apply(f); repaired {
+			if _, repaired := ts.swapper.Apply(*f); repaired {
 				continue
 			}
 			ts.tsvUnrepaired++
 		}
 		if f.Persistence == fault.Permanent {
-			ts.livePerm = append(ts.livePerm, f)
+			ts.livePerm = append(ts.livePerm, *f)
 		} else {
-			ts.liveTrans = append(ts.liveTrans, f)
+			ts.liveTrans = append(ts.liveTrans, *f)
 		}
 		var bad bool
 		if ts.inc != nil {
-			bad = ts.inc.Add(f)
+			bad = ts.inc.Add(*f)
 		} else {
 			bad = ts.pol.Predicate.Uncorrectable(ts.liveFaults())
 		}
 		if ts.obs != nil {
-			ts.obs.Arrival(f, bad)
+			ts.obs.Arrival(*f, bad)
 		}
 		if bad {
 			return f.Hours, f.Class
@@ -585,7 +586,7 @@ func (ts *trialState) run(faults []fault.Fault) (float64, fault.Class) {
 // scrubbing and sparing cannot change the outcome, so the full per-trial
 // state reset is skipped. Observable statistics (verdict, failure time,
 // cause, scrub count) match run exactly.
-func (ts *trialState) runSingle(f fault.Fault) (float64, fault.Class) {
+func (ts *trialState) runSingle(f *fault.Fault) (float64, fault.Class) {
 	ts.tsvUnrepaired = 0
 	if int(f.Hours/ts.scrub) > 0 {
 		// run would scrub once before this arrival; on an empty state the
@@ -594,7 +595,7 @@ func (ts *trialState) runSingle(f fault.Fault) (float64, fault.Class) {
 	}
 	if ts.swapper != nil && f.Class.IsTSV() {
 		ts.swapper.Reset()
-		if _, repaired := ts.swapper.Apply(f); repaired {
+		if _, repaired := ts.swapper.Apply(*f); repaired {
 			return -1, 0
 		}
 		ts.tsvUnrepaired++
@@ -602,14 +603,14 @@ func (ts *trialState) runSingle(f fault.Fault) (float64, fault.Class) {
 	var bad bool
 	if ts.inc != nil {
 		ts.inc.Reset()
-		bad = ts.inc.Add(f)
+		bad = ts.inc.Add(*f)
 	} else {
 		ts.scratch = ts.scratch[:0]
-		ts.scratch = append(ts.scratch, f)
+		ts.scratch = append(ts.scratch, *f)
 		bad = ts.pol.Predicate.Uncorrectable(ts.scratch)
 	}
 	if ts.obs != nil {
-		ts.obs.Arrival(f, bad)
+		ts.obs.Arrival(*f, bad)
 	}
 	if bad {
 		return f.Hours, f.Class
@@ -654,7 +655,7 @@ func runContext(ctx context.Context, opt Options, pol Policy, first int) Result 
 	res.Partial = res.Err != nil
 	if len(res.Exemplars) > 0 {
 		// Workers each kept up to MaxExemplars; keep the globally first K
-		// failures so the exemplar set is independent of the partition.
+		// failures so the exemplar set is independent of the schedule.
 		sortExemplars(res.Exemplars)
 		if len(res.Exemplars) > opt.MaxExemplars {
 			res.Exemplars = res.Exemplars[:opt.MaxExemplars]
@@ -720,7 +721,7 @@ func (w *runWorker) Trial(rng *rand.Rand, i int) bool {
 	var when float64
 	var cause fault.Class
 	if len(fs) == 1 {
-		when, cause = w.ts.runSingle(fs[0])
+		when, cause = w.ts.runSingle(&fs[0])
 	} else {
 		when, cause = w.ts.run(fs)
 	}

@@ -103,7 +103,7 @@ func TestSingleFaultFastPathAllocFree(t *testing.T) {
 			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, false)
 			replay := func() {
 				for _, fs := range seqs {
-					ts.runSingle(fs[0])
+					ts.runSingle(&fs[0])
 				}
 			}
 			replay()

@@ -45,7 +45,7 @@ func BenchmarkParityStateAddRowhammer(b *testing.B) {
 				st.Reset()
 				lastScrub = scrub
 			}
-			if st.Add(f.Region) {
+			if st.Add(&f.Region) {
 				break
 			}
 		}

@@ -31,7 +31,7 @@ func NewTrialRunner(cfg stack.Config, pol Policy, scrubHours float64) *TrialRunn
 // single-fault fast path matches the engine's.
 func (t *TrialRunner) Run(faults []fault.Fault) (float64, fault.Class) {
 	if len(faults) == 1 {
-		return t.ts.runSingle(faults[0])
+		return t.ts.runSingle(&faults[0])
 	}
 	return t.ts.run(faults)
 }
@@ -67,29 +67,30 @@ func (t *TrialRunner) Scrubs() int64 { return t.ts.scrubs }
 // must stay in lockstep.
 func (ts *trialState) runToLevel(faults []fault.Fault, level int) (crossIdx int, crossHours float64, failed bool) {
 	ts.reset()
-	for i, f := range faults {
+	for i := range faults {
+		f := &faults[i]
 		scrubIdx := int(f.Hours / ts.scrub)
 		if scrubIdx > ts.lastScrub {
 			ts.doScrub()
 			ts.lastScrub = scrubIdx
 		}
 		if ts.swapper != nil && f.Class.IsTSV() {
-			if _, repaired := ts.swapper.Apply(f); repaired {
+			if _, repaired := ts.swapper.Apply(*f); repaired {
 				continue
 			}
 			ts.tsvUnrepaired++
 		}
 		if f.Persistence == fault.Permanent {
-			ts.livePerm = append(ts.livePerm, f)
+			ts.livePerm = append(ts.livePerm, *f)
 		} else {
-			ts.liveTrans = append(ts.liveTrans, f)
+			ts.liveTrans = append(ts.liveTrans, *f)
 		}
 		if len(ts.livePerm)+len(ts.liveTrans) >= level {
 			return i, f.Hours, false
 		}
 		var bad bool
 		if ts.inc != nil {
-			bad = ts.inc.Add(f)
+			bad = ts.inc.Add(*f)
 		} else {
 			bad = ts.pol.Predicate.Uncorrectable(ts.liveFaults())
 		}

@@ -80,34 +80,38 @@ func (st *State) Uncorrectable() bool { return st.bad }
 // Len returns the number of tracked regions.
 func (st *State) Len() int { return len(st.live) }
 
-func (st *State) info(r fault.Region) regionInfo {
+// info fills ri, a live slot, with r and its cached quantities.
+func (st *State) info(ri *regionInfo, r *fault.Region) {
 	an := st.an
 	dieDom := uint32(an.dieDomain)
 	banks := uint32(an.cfg.BanksPerDie)
 	dies := r.Die.CountBelow(dieDom)
 	bks := r.Bank.CountBelow(banks)
 	rows := r.Row.CountBelow(an.rowsPerBank)
-	return regionInfo{
-		r:  r,
-		u1: dies * bks,
-		u2: bks * rows,
-		u3: dies * rows,
-		fd: firstValue(r.Die, dieDom),
-		fb: firstValue(r.Bank, banks),
-		fr: firstValue(r.Row, an.rowsPerBank),
-	}
+	ri.r = *r
+	ri.u1, ri.u2, ri.u3 = dies*bks, bks*rows, dies*rows
+	ri.fd = firstValue(r.Die, dieDom)
+	ri.fb = firstValue(r.Bank, banks)
+	ri.fr = firstValue(r.Row, an.rowsPerBank)
+}
+
+// push appends r to the live set and returns its index.
+func (st *State) push(r *fault.Region) int {
+	idx := len(st.live)
+	st.live = append(st.live, regionInfo{})
+	st.info(&st.live[idx], r)
+	return idx
 }
 
 // Add inserts r and returns the updated verdict. When the set was already
 // uncorrectable no evaluation happens (monotonicity); when r passes the
 // private-projection rule (private) it is correctable outright; otherwise
 // only the interference component of r is peeled.
-func (st *State) Add(r fault.Region) bool {
-	st.live = append(st.live, st.info(r))
+func (st *State) Add(r *fault.Region) bool {
+	idx := st.push(r)
 	if st.bad {
 		return true
 	}
-	idx := len(st.live) - 1
 	if st.private(idx) {
 		return false
 	}
@@ -152,9 +156,9 @@ func (st *State) private(idx int) bool {
 // sharedIn reports whether a live region other than live[idx], in its
 // stack, shares a dimension-d group coordinate with it.
 func (st *State) sharedIn(d Dim, idx int) bool {
-	a := st.live[idx].r
+	a := &st.live[idx].r
 	for j := range st.live {
-		if j != idx && st.live[j].r.Stack == a.Stack && sharesGroup(d, a, st.live[j].r) {
+		if j != idx && st.live[j].r.Stack == a.Stack && sharesGroup(d, a, &st.live[j].r) {
 			return true
 		}
 	}
@@ -166,9 +170,9 @@ func (st *State) sharedIn(d Dim, idx int) bool {
 // correctable set stays correctable under removal (downward closure), so
 // re-evaluation happens only when the set was uncorrectable. Removing a
 // region not in the set is a no-op.
-func (st *State) Remove(r fault.Region) bool {
+func (st *State) Remove(r *fault.Region) bool {
 	for i := range st.live {
-		if st.live[i].r == r {
+		if st.live[i].r == *r {
 			last := len(st.live) - 1
 			st.live[i] = st.live[last]
 			st.live = st.live[:last]
@@ -192,7 +196,7 @@ func (st *State) evalFull() bool {
 // interferes reports whether a's and b's group projections intersect in
 // some enabled dimension. This is a superset of "blockedPieces non-empty in
 // either direction", which is what component decomposition requires.
-func (st *State) interferes(a, b fault.Region) bool {
+func (st *State) interferes(a, b *fault.Region) bool {
 	if a.Stack != b.Stack {
 		return false
 	}
@@ -207,7 +211,7 @@ func (st *State) interferes(a, b fault.Region) bool {
 // sharesGroup reports whether a's and b's projections intersect in
 // dimension d's group coordinates: (Row, Col) for Dim1, (Die, Col) for
 // Dim2, (Bank, Col) for Dim3. blockedPieces(d, a, b) is empty otherwise.
-func sharesGroup(d Dim, a, b fault.Region) bool {
+func sharesGroup(d Dim, a, b *fault.Region) bool {
 	switch d {
 	case Dim1:
 		return a.Row.Intersects(b.Row) && a.Col.Intersects(b.Col)
@@ -229,9 +233,9 @@ func (st *State) componentOf(idx int) {
 	st.comp = append(st.comp, idx)
 	st.inComp[idx] = true
 	for qi := 0; qi < len(st.comp); qi++ {
-		a := st.live[st.comp[qi]].r
+		a := &st.live[st.comp[qi]].r
 		for j := range st.live {
-			if !st.inComp[j] && st.interferes(a, st.live[j].r) {
+			if !st.inComp[j] && st.interferes(a, &st.live[j].r) {
 				st.inComp[j] = true
 				st.comp = append(st.comp, j)
 			}
@@ -277,7 +281,7 @@ func (st *State) peel(indices []int) bool {
 // still-alive members of indices, building the per-dimension blocked-piece
 // lists into reused buffers.
 func (st *State) lostIn(indices []int, k int) bool {
-	a := st.live[indices[k]].r
+	a := &st.live[indices[k]].r
 	dims := st.an.dimList
 	if len(dims) == 0 {
 		return true
@@ -329,10 +333,10 @@ func (st *State) anyCombRec(i, n int, acc fault.Region) bool {
 
 // appendBlockedPieces is blockedPieces writing into dst, with the unit
 // counts and unit coordinates taken from b's cached regionInfo.
-func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Region, b *regionInfo) []fault.Region {
+func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a *fault.Region, b *regionInfo) []fault.Region {
 	switch d {
 	case Dim1:
-		base := a
+		base := *a
 		var ok bool
 		if base.Row, ok = intersectPattern(a.Row, b.r.Row); !ok {
 			return dst
@@ -345,7 +349,7 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 		}
 		return an.appendSplitNotUnit(dst, base, b.fd, b.fb)
 	case Dim2:
-		base := a
+		base := *a
 		var ok bool
 		if base.Die, ok = intersectPattern(a.Die, b.r.Die); !ok {
 			return dst
@@ -358,7 +362,7 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 		}
 		return an.appendSplitNotBankRow(dst, base, b.fb, b.fr)
 	case Dim3:
-		base := a
+		base := *a
 		var ok bool
 		if base.Bank, ok = intersectPattern(a.Bank, b.r.Bank); !ok {
 			return dst

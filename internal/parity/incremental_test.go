@@ -28,7 +28,7 @@ func TestStateMatchesBatchOracle(t *testing.T) {
 					i := rng.Intn(len(cur))
 					r := cur[i]
 					cur = append(cur[:i], cur[i+1:]...)
-					st.Remove(r)
+					st.Remove(&r)
 				} else {
 					r := randomRegion(rng, cfg)
 					r.Stack = rng.Intn(2)
@@ -36,7 +36,7 @@ func TestStateMatchesBatchOracle(t *testing.T) {
 						continue
 					}
 					cur = append(cur, r)
-					st.Add(r)
+					st.Add(&r)
 				}
 				want := an.Uncorrectable(cur)
 				if got := st.Uncorrectable(); got != want {
@@ -59,10 +59,10 @@ func TestStateRemoveAbsentRegionIsNoop(t *testing.T) {
 	st := an.NewState()
 	r := fault.Region{Stack: 0, Die: fault.ExactPattern(0), Bank: fault.ExactPattern(0),
 		Row: fault.ExactPattern(1), Col: fault.AllPattern()}
-	st.Add(r)
+	st.Add(&r)
 	other := r
 	other.Row = fault.ExactPattern(2)
-	if st.Remove(other); st.Len() != 1 {
+	if st.Remove(&other); st.Len() != 1 {
 		t.Fatalf("Remove of absent region changed the set: Len = %d", st.Len())
 	}
 	if st.Uncorrectable() {
@@ -93,10 +93,10 @@ func TestStateSteadyStateAllocFree(t *testing.T) {
 		for _, s := range seqs {
 			st.Reset()
 			for _, r := range s {
-				st.Add(r)
+				st.Add(&r)
 			}
 			for i := len(s) - 1; i >= 0; i-- {
-				st.Remove(s[i])
+				st.Remove(&s[i])
 			}
 		}
 	}
@@ -196,7 +196,7 @@ func TestSingletonAddMatchesBatch(t *testing.T) {
 			st := an.NewState()
 			for i, r := range regions {
 				st.Reset()
-				got := st.Add(r)
+				got := st.Add(&r)
 				if want := an.Uncorrectable([]fault.Region{r}); got != want {
 					t.Fatalf("%s %v region %d: Add = %v, batch = %v\nregion: %+v",
 						tc.name, dims, i, got, want, r)

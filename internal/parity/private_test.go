@@ -24,7 +24,7 @@ func addMatchesBatch(t *testing.T, an *parity.Analyzer, st *parity.State, regs [
 		if i > 0 && !st.Uncorrectable() && st.PrivateFor(r) {
 			fired++
 		}
-		got := st.Add(r)
+		got := st.Add(&r)
 		if want := an.Uncorrectable(regs[:i+1]); got != want {
 			t.Fatalf("%v: Add of region %d = %v, batch = %v\nset: %+v", an.Dims(), i, got, want, regs[:i+1])
 		}
@@ -158,7 +158,7 @@ func TestPrivateRuleNegatives(t *testing.T) {
 		st := an.NewState()
 		last := len(tc.set) - 1
 		for _, r := range tc.set[:last] {
-			st.Add(r)
+			st.Add(&r)
 		}
 		if st.PrivateFor(tc.set[last]) {
 			t.Errorf("%s: the rule fired for %+v", tc.name, tc.set[last])

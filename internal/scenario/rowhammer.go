@@ -162,7 +162,7 @@ type rowhammerArrivals struct {
 	epHist [4]float64
 
 	// runs and scratch are per-trial buffers of the arrival merge: the
-	// offset where each aggressor's episodes begin, and a fault copy.
+	// offset where each aggressor's episodes begin, and the merged faults.
 	runs    []int
 	scratch []fault.Fault
 }
@@ -214,18 +214,16 @@ func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []
 					r.permanents++
 				}
 				r.victims++
-				dst = append(dst, fault.Fault{
-					Class:       fault.Row,
-					Persistence: pers,
-					Hours:       t,
-					Region: fault.Region{
-						Stack: stackIdx,
-						Die:   fault.ExactPattern(die),
-						Bank:  fault.ExactPattern(bank),
-						Row:   fault.ExactPattern(uint32(vr)),
-						Col:   fault.AllPattern(),
-					},
-				})
+				// Build the victim in its slot rather than copy one in.
+				dst = append(dst, fault.Fault{})
+				f := &dst[len(dst)-1]
+				f.Class, f.Persistence, f.Hours = fault.Row, pers, t
+				reg := &f.Region
+				reg.Stack = stackIdx
+				reg.Die = fault.ExactPattern(die)
+				reg.Bank = fault.ExactPattern(bank)
+				reg.Row = fault.ExactPattern(uint32(vr))
+				reg.Col = fault.AllPattern()
 			}
 		}
 	}
@@ -252,32 +250,40 @@ func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []
 
 // mergeRuns sorts region by Hours, stably, given that each of its runs —
 // region[:starts[0]], region[starts[0]:starts[1]], ..., region[starts[n-1]:]
-// — is already sorted. It folds each run into the sorted prefix before it
-// with a two-way merge whose ties go to the prefix, so the result equals a
-// stable sort's. It returns scratch, grown to hold the prefix, for reuse.
+// — is already sorted. One k-way merge writes the runs into scratch, ties
+// going to the earlier run, so the result equals a stable sort's; it is
+// then copied back, so every fault moves twice whatever the run count. It
+// returns scratch, grown to hold region, for reuse.
 func mergeRuns(region []fault.Fault, starts []int, scratch []fault.Fault) []fault.Fault {
-	for i, mid := range starts {
-		end := len(region)
-		if i+1 < len(starts) {
-			end = starts[i+1]
+	sorted := true
+	for _, mid := range starts {
+		if mid > 0 && mid < len(region) && region[mid-1].Hours > region[mid].Hours {
+			sorted = false
+			break
 		}
-		if mid == 0 || mid == end || region[mid-1].Hours <= region[mid].Hours {
-			continue
-		}
-		scratch = append(scratch[:0], region[:mid]...)
-		l, r, out := 0, mid, 0
-		for l < len(scratch) && r < end {
-			if region[r].Hours < scratch[l].Hours {
-				region[out] = region[r]
-				r++
-			} else {
-				region[out] = scratch[l]
-				l++
-			}
-			out++
-		}
-		copy(region[out:], scratch[l:])
 	}
+	if sorted {
+		return scratch
+	}
+	// heads[k] is run k's next fault; run k ends where run k+1 starts.
+	var buf [8]int
+	heads := append(append(buf[:0], 0), starts...)
+	scratch = scratch[:0]
+	for range region {
+		best := -1
+		for k, h := range heads {
+			end := len(region)
+			if k < len(starts) {
+				end = starts[k]
+			}
+			if h < end && (best < 0 || region[h].Hours < region[heads[best]].Hours) {
+				best = k
+			}
+		}
+		scratch = append(scratch, region[heads[best]])
+		heads[best]++
+	}
+	copy(region, scratch)
 	return scratch
 }
 
