@@ -161,10 +161,10 @@ type rowhammerArrivals struct {
 	// histogram of episodes per trial: 0, 1-3, 4-15, 16+.
 	epHist [4]float64
 
-	// runs and scratch are per-trial buffers of the arrival merge: the
-	// offset where each aggressor's episodes begin, and the merged faults.
-	runs    []int
-	scratch []fault.Fault
+	// runs and merge are per-trial buffers of the arrival merge: the
+	// offset where each aggressor's episodes begin, and mergeRuns's own.
+	runs  []int
+	merge mergeBuffers
 }
 
 func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
@@ -244,17 +244,31 @@ func (r *rowhammerArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []
 	// The engine requires arrivals sorted by Hours; hammer episodes
 	// interleave arbitrarily with the baseline stream. Each source emits
 	// in time order, so a stable merge of the sorted runs sorts the trial.
-	r.scratch = mergeRuns(dst[start:], r.runs, r.scratch)
+	r.merge.mergeRuns(dst[start:], r.runs)
 	return dst
+}
+
+// mergeBuffers are mergeRuns's reusable buffers: one head per run and
+// the merged faults.
+type mergeBuffers struct {
+	heads []mergeHead
+	out   []fault.Fault
+}
+
+// mergeHead is a run's next fault, at, with its hour, and the run's end.
+type mergeHead struct {
+	hours   float64
+	at, end int
 }
 
 // mergeRuns sorts region by Hours, stably, given that each of its runs —
 // region[:starts[0]], region[starts[0]:starts[1]], ..., region[starts[n-1]:]
-// — is already sorted. One k-way merge writes the runs into scratch, ties
-// going to the earlier run, so the result equals a stable sort's; it is
-// then copied back, so every fault moves twice whatever the run count. It
-// returns scratch, grown to hold region, for reuse.
-func mergeRuns(region []fault.Fault, starts []int, scratch []fault.Fault) []fault.Fault {
+// — is already sorted. One k-way merge writes the runs into a buffer,
+// ties going to the earlier run, so the result equals a stable sort's;
+// it is then copied back, so a fault moves at most twice whatever the
+// run count. The last run left needs no merge: its tail is copied
+// along, or left in place when it ends the region.
+func (m *mergeBuffers) mergeRuns(region []fault.Fault, starts []int) {
 	sorted := true
 	for _, mid := range starts {
 		if mid > 0 && mid < len(region) && region[mid-1].Hours > region[mid].Hours {
@@ -263,28 +277,40 @@ func mergeRuns(region []fault.Fault, starts []int, scratch []fault.Fault) []faul
 		}
 	}
 	if sorted {
-		return scratch
+		return
 	}
-	// heads[k] is run k's next fault; run k ends where run k+1 starts.
-	var buf [8]int
-	heads := append(append(buf[:0], 0), starts...)
-	scratch = scratch[:0]
-	for range region {
-		best := -1
-		for k, h := range heads {
-			end := len(region)
-			if k < len(starts) {
-				end = starts[k]
-			}
-			if h < end && (best < 0 || region[h].Hours < region[heads[best]].Hours) {
+	heads := m.heads[:0]
+	for k, lo := 0, 0; k <= len(starts); k++ {
+		hi := len(region)
+		if k < len(starts) {
+			hi = starts[k]
+		}
+		if hi > lo {
+			heads = append(heads, mergeHead{hours: region[lo].Hours, at: lo, end: hi})
+		}
+		lo = hi
+	}
+	out := m.out[:0]
+	for len(heads) > 1 {
+		best := 0
+		for k := 1; k < len(heads); k++ {
+			if heads[k].hours < heads[best].hours {
 				best = k
 			}
 		}
-		scratch = append(scratch, region[heads[best]])
-		heads[best]++
+		h := &heads[best]
+		out = append(out, region[h.at])
+		if h.at++; h.at < h.end {
+			h.hours = region[h.at].Hours
+		} else {
+			heads = append(heads[:best], heads[best+1:]...) // keeps run order for ties
+		}
 	}
-	copy(region, scratch)
-	return scratch
+	if last := heads[0]; last.end < len(region) {
+		out = append(out, region[last.at:last.end]...)
+	}
+	copy(region, out)
+	m.heads, m.out = heads, out
 }
 
 // FlushStats implements faultsim.ArrivalStats.

@@ -171,7 +171,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 	// does. TSV tags each fault with its input position so reordered ties
 	// would show.
 	rng := rand.New(rand.NewSource(8))
-	var scratch []fault.Fault
+	var buf mergeBuffers
 	for trial := 0; trial < 2000; trial++ {
 		var region []fault.Fault
 		var starts []int
@@ -187,7 +187,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 		}
 		want := slices.Clone(region)
 		slices.SortStableFunc(want, func(a, b fault.Fault) int { return cmp.Compare(a.Hours, b.Hours) })
-		scratch = mergeRuns(region, starts, scratch)
+		buf.mergeRuns(region, starts)
 		if !slices.Equal(region, want) {
 			t.Fatalf("runs %v: mergeRuns = %v, stable sort %v", starts, region, want)
 		}
