@@ -80,26 +80,23 @@ func (st *State) Uncorrectable() bool { return st.bad }
 // Len returns the number of tracked regions.
 func (st *State) Len() int { return len(st.live) }
 
-// info fills ri, a live slot, with r and its cached quantities.
-func (st *State) info(ri *regionInfo, r *fault.Region) {
+// push appends r to the live set, filling its regionInfo in place, and
+// returns its index.
+func (st *State) push(r *fault.Region) int {
 	an := st.an
 	dieDom := uint32(an.dieDomain)
 	banks := uint32(an.cfg.BanksPerDie)
 	dies := r.Die.CountBelow(dieDom)
 	bks := r.Bank.CountBelow(banks)
 	rows := r.Row.CountBelow(an.rowsPerBank)
+	idx := len(st.live)
+	st.live = append(st.live, regionInfo{})
+	ri := &st.live[idx]
 	ri.r = *r
 	ri.u1, ri.u2, ri.u3 = dies*bks, bks*rows, dies*rows
 	ri.fd = firstValue(r.Die, dieDom)
 	ri.fb = firstValue(r.Bank, banks)
 	ri.fr = firstValue(r.Row, an.rowsPerBank)
-}
-
-// push appends r to the live set and returns its index.
-func (st *State) push(r *fault.Region) int {
-	idx := len(st.live)
-	st.live = append(st.live, regionInfo{})
-	st.info(&st.live[idx], r)
 	return idx
 }
 
