@@ -181,14 +181,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// A forensics report does not record plugin knobs, so its replay
-	// would diverge from a run that set any.
-	if *forensics != "" && len(scenarioParams) > 0 {
-		fmt.Fprintln(os.Stderr, "-forensics is incompatible with -scenario-param")
-		os.Exit(2)
-	}
-	if (*splitCheck || *forensics != "" || *rareEvent) && *faultModel != "" && *faultModel != scenario.DefaultFaultModel {
-		fmt.Fprintf(os.Stderr, "-split, -forensics and -rare-event support only the default %q fault model\n", scenario.DefaultFaultModel)
+	if (*splitCheck || *rareEvent) && *faultModel != "" && *faultModel != scenario.DefaultFaultModel {
+		fmt.Fprintf(os.Stderr, "-split and -rare-event support only the default %q fault model\n", scenario.DefaultFaultModel)
 		os.Exit(2)
 	}
 
@@ -262,8 +256,9 @@ func main() {
 		FaultModel:         *faultModel,
 		ScenarioParams:     scenarioParams,
 	}
-	// Refuse a forensics run whose report could not replay before any
-	// trial runs.
+	// Refuse a forensics run whose report could not replay (scenario
+	// parameters, a non-default fault model, custom non-TSV rates) before
+	// any trial runs.
 	if *forensics != "" {
 		if _, err := citadel.NewForensicsReport(opts, *schemeName, citadel.Result{}); err != nil {
 			fmt.Fprintln(os.Stderr, err)

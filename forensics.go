@@ -85,21 +85,6 @@ func (r ForensicsReport) Options() ReliabilityOptions {
 	}.withDefaults()
 }
 
-// ReplayExemplar re-executes the exemplar's trial from its recorded seed
-// and trial index under opts and the named scheme, returning the
-// reproduced forensic record. ok is false when the replayed trial does not
-// fail — the options/scheme no longer match the recording. The error
-// reports an unknown scheme or a fault model replay cannot honor.
-func ReplayExemplar(opts ReliabilityOptions, scheme string, ex Forensic) (Forensic, bool, error) {
-	opts = opts.withDefaults()
-	pol, eo, err := opts.scenarioSetup(scheme, true)
-	if err != nil {
-		return Forensic{}, false, err
-	}
-	got, ok := faultsim.ReplayForensic(eo, pol, ex)
-	return got, ok, nil
-}
-
 // Replay is the outcome of replaying one exemplar of a report.
 type Replay struct {
 	// Got is the replayed record; zero when the trial did not fail.

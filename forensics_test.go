@@ -59,8 +59,8 @@ func TestForensicsReportReplays(t *testing.T) {
 		if err := VerifyReport(unknown); err == nil {
 			t.Errorf("%s: unknown scheme verified", scheme)
 		}
-		if _, _, err := ReplayExemplar(back.Options(), "no-such", back.Exemplars[0]); err == nil {
-			t.Errorf("%s: ReplayExemplar accepted an unknown scheme", scheme)
+		if _, err := ReplayReport(unknown); err == nil {
+			t.Errorf("%s: ReplayReport accepted an unknown scheme", scheme)
 		}
 		if _, err := NewForensicsReport(opts, "no-such", res); err == nil {
 			t.Errorf("%s: NewForensicsReport accepted an unknown scheme", scheme)

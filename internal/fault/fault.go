@@ -290,6 +290,14 @@ const HoursPerYear = 24 * 365.25
 // LifetimeHours is the paper's seven-year evaluation lifetime.
 const LifetimeHours = 7 * HoursPerYear
 
+// LifetimeCap is the capacity the trial kernel builds its per-worker fault
+// buffers and evaluator scratch with: more faults than a lifetime at field
+// rates holds (Table I at 1430 TSV FIT: at most 12 in 2M trials). A worker
+// then allocates when it is built, not on whichever trials first grow its
+// buffers, so a campaign's allocation count does not depend on how its
+// trials fell to the workers.
+const LifetimeCap = 16
+
 // classRate returns the FIT rate for a (class, persistence) pair. SubArray
 // and Bank share the bank-class budget via SubArrayFraction.
 func (r Rates) classRate(c Class, p Persistence) float64 {

@@ -437,7 +437,12 @@ type trialState struct {
 }
 
 func newTrialState(cfg stack.Config, pol Policy, scrub float64, disableIncremental bool) *trialState {
-	ts := &trialState{cfg: cfg, pol: pol, scrub: scrub}
+	ts := &trialState{
+		cfg: cfg, pol: pol, scrub: scrub,
+		livePerm:    make([]fault.Fault, 0, fault.LifetimeCap),
+		liveTrans:   make([]fault.Fault, 0, fault.LifetimeCap),
+		dropScratch: make([]bool, 0, fault.LifetimeCap),
+	}
 	if !disableIncremental {
 		if ip, ok := pol.Predicate.(ecc.IncrementalPredicate); ok {
 			ts.inc = ip.Begin()
@@ -696,6 +701,7 @@ func newRunWorker(opt *Options, pol Policy, res *Result, id int) *runWorker {
 	w := &runWorker{
 		opt: opt, res: res, id: id, traceOn: opt.Trace.Enabled(),
 		ts:     newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental),
+		buf:    make([]fault.Fault, 0, fault.LifetimeCap),
 		byYear: make([]int, int(math.Ceil(opt.LifetimeHours/fault.HoursPerYear))),
 	}
 	if opt.NewArrivals != nil {

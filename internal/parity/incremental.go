@@ -63,9 +63,22 @@ type State struct {
 	pieces [3][]fault.Region
 }
 
-// NewState returns an empty (correctable) incremental state.
+// NewState returns an empty (correctable) incremental state, its live set
+// and scratch sized for fault.LifetimeCap regions.
 func (an *Analyzer) NewState() *State {
-	return &State{an: an}
+	const n = fault.LifetimeCap
+	st := &State{
+		an:     an,
+		live:   make([]regionInfo, 0, n),
+		comp:   make([]int, 0, n),
+		inComp: make([]bool, 0, n),
+		alive:  make([]bool, 0, n),
+		allIdx: make([]int, 0, n),
+	}
+	for i := range st.pieces {
+		st.pieces[i] = make([]fault.Region, 0, n)
+	}
+	return st
 }
 
 // Reset empties the state, retaining scratch capacity.

@@ -74,12 +74,13 @@ func New(cfg stack.Config) *DDS {
 func NewWithBudget(cfg stack.Config, maxRowsPerBank, spareBanks int) *DDS {
 	banks := cfg.Stacks * (cfg.DataDies + cfg.ECCDies) * cfg.BanksPerDie
 	d := &DDS{
-		cfg:        cfg,
-		maxRows:    maxRowsPerBank,
-		spareBanks: spareBanks,
-		rrtRows:    make([]int, banks),
-		touched:    make([]int, 0, banks),
-		brt:        make([][]bankKey, cfg.Stacks),
+		cfg:           cfg,
+		maxRows:       maxRowsPerBank,
+		spareBanks:    spareBanks,
+		rrtRows:       make([]int, banks),
+		touched:       make([]int, 0, banks),
+		brt:           make([][]bankKey, cfg.Stacks),
+		sparedScratch: make([]int, 0, fault.LifetimeCap),
 	}
 	for s := range d.brt {
 		d.brt[s] = make([]bankKey, 0, max(spareBanks, 0))
